@@ -155,23 +155,18 @@ def write_manifest(out_dir, command: str, configs: dict, seed: int, inputs) -> N
         fh.write("\n")
 
 
-def load_corpus(directory) -> dict[str, Dataset]:
-    corpus = {}
-    for name in SPLIT_NAMES:
-        path = os.path.join(directory, f"{name}.npz")
-        if os.path.exists(path):
-            corpus[name] = load_dataset(path)
-    if not corpus:
+def _corpus_files(directory) -> dict[str, str]:
+    """Split name -> path of each ``<split>.npz`` present in ``directory``."""
+    paths = {name: os.path.join(directory, f"{name}.npz") for name in SPLIT_NAMES}
+    return {name: path for name, path in paths.items() if os.path.exists(path)}
+
+
+def load_corpus(directory, splits=SPLIT_NAMES) -> dict[str, Dataset]:
+    """Load those of ``splits`` that exist; raises if the directory has no split at all."""
+    files = _corpus_files(directory)
+    if not files:
         raise CorpusFormatError(f"{directory}: no corpus files found (expected <split>.npz)")
-    return corpus
-
-
-def _corpus_input_paths(directory) -> list[str]:
-    return [
-        os.path.join(directory, f"{name}.npz")
-        for name in SPLIT_NAMES
-        if os.path.exists(os.path.join(directory, f"{name}.npz"))
-    ]
+    return {name: load_dataset(path) for name, path in files.items() if name in splits}
 
 
 def _cmd_synth(args) -> int:
@@ -244,7 +239,7 @@ def _cmd_search(args) -> int:
         "search",
         {"evolution": evolution_config, "eval": eval_config, "search": options},
         args.seed or 0,
-        _corpus_input_paths(args.corpus),
+        list(_corpus_files(args.corpus).values()),
     )
     run = run_search(
         corpus,
@@ -281,7 +276,7 @@ def _load_pattern(args):
 
 
 def _cmd_evaluate(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus, (args.split,))
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
     net = _load_pattern(args)
@@ -295,7 +290,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export_overlay(args) -> int:
-    corpus = load_corpus(args.corpus)
+    corpus = load_corpus(args.corpus, (args.split,))
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
     net = _load_pattern(args)

@@ -111,12 +111,6 @@ class CppnGenome:
     def node_ids(self) -> frozenset[int]:
         return frozenset(n.id for n in self.nodes)
 
-    def node_by_id(self, node_id: int) -> NodeGene:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def topological_order(self) -> tuple[int, ...]:
         """Node ids in dependency order (inputs first); cached at construction."""
         return self._order

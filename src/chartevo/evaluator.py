@@ -98,6 +98,29 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def live_units(
+    net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None = None
+) -> list[np.ndarray]:
+    """Boolean mask per layer of the units that can change the output.
+
+    A hidden unit is dead when dropout zeroes it, when it is a ReLU unit
+    with no non-zero weight from a live unit and a bias <= 0 (it always
+    outputs 0), or when it has no non-zero weight into a live unit of
+    the next layer.  Inputs and the output are always live.
+    """
+    weights = net.weights
+    live = [np.ones(weights[0].shape[0], dtype=bool)]
+    for i in range(net.n_hidden_layers):
+        keep = np.ones(weights[i].shape[1], dtype=bool) if masks is None else masks[i] != 0.0
+        if net.activation == "relu":
+            keep &= (weights[i][live[i]] != 0.0).any(axis=0) | (net.biases[i] > 0.0)
+        live.append(keep)
+    live.append(np.ones(weights[-1].shape[1], dtype=bool))
+    for i in range(net.n_hidden_layers, 0, -1):
+        live[i] &= (weights[i][:, live[i + 1]] != 0.0).any(axis=1)
+    return live
+
+
 def forward_output(
     net: PhenotypeNetwork,
     X: np.ndarray,
@@ -107,27 +130,38 @@ def forward_output(
     """Output preactivations, shape (n,); optional fixed dropout masks.
 
     ``masks`` holds one per hidden layer (scaled keep/drop factors); the
-    output layer is never masked.
+    output layer is never masked.  Only the sub-network of
+    :func:`live_units` is run: dead units contribute exact zeros, so the
+    result equals the dense pass up to summation order.
     """
     if X.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input width {X.shape[1]} does not fit network "
                          f"expecting {net.weights[0].shape[0]}")
     if masks is not None and len(masks) != net.n_hidden_layers:
         raise ValueError("need exactly one dropout mask per hidden layer")
+    live = live_units(net, masks)
+    weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
+    biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
+    kept_masks = None if masks is None else [m[keep] for m, keep in zip(masks, live[1:])]
     n = X.shape[0]
     step = batch_size if batch_size > 0 else max(n, 1)
     out = np.empty(n)
-    hidden = _stable_sigmoid if net.activation == "sigmoid" else None
+    last = len(weights) - 1
     for start in range(0, n, step):
         h = X[start:start + step]
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            pre = h @ w + b
-            if i == len(net.weights) - 1:
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            pre = h @ w
+            pre += b
+            if i == last:
                 out[start:start + step] = pre[:, 0]
                 break
-            h = hidden(pre) if hidden else np.maximum(pre, 0.0)
-            if masks is not None:
-                h = h * masks[i]
+            if net.activation == "sigmoid":
+                pre = _stable_sigmoid(pre)
+            else:
+                np.maximum(pre, 0.0, out=pre)
+            if kept_masks is not None:
+                pre *= kept_masks[i]
+            h = pre
     return out
 
 

@@ -10,7 +10,7 @@ rescaled per target node to keep forward variance in check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +75,21 @@ class SubstrateSpec:
 
     def layer_coordinates(self, index: int) -> np.ndarray:
         return self.layers[index].coordinates(self.depths[index])
+
+    @cached_property
+    def queries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per adjacent-layer pair: source and target coordinates of every
+        candidate link, row-major over (source, target), and the target
+        layer's coordinates.  Built once; the same for every genome."""
+        coords = [self.layer_coordinates(i) for i in range(len(self.layers))]
+        out = []
+        for coords_a, coords_b in zip(coords, coords[1:]):
+            pair_a = np.repeat(coords_a, len(coords_b), axis=0)
+            pair_b = np.tile(coords_b, (len(coords_a), 1))
+            for arr in (pair_a, pair_b, coords_b):
+                arr.setflags(write=False)
+            out.append((pair_a, pair_b, coords_b))
+        return tuple(out)
 
 
 def standard_substrates() -> dict[str, SubstrateSpec]:
@@ -157,15 +172,11 @@ def express(
         raise ConfigError(f"unsupported scaling {scaling!r}")
     weights = []
     biases = []
-    for i in range(len(spec.layers) - 1):
-        coords_a = spec.layer_coordinates(i)
-        coords_b = spec.layer_coordinates(i + 1)
-        n_in, n_out = len(coords_a), len(coords_b)
-        pair_a = np.repeat(coords_a, n_out, axis=0)
-        pair_b = np.tile(coords_b, (n_in, 1))
+    for pair_a, pair_b, coords_b in spec.queries:
         raw, gate = cppn.query_connection_batch(genome, pair_a, pair_b)
-        expressed = (gate > 0.0).reshape(n_in, n_out)
-        w = np.where(expressed, raw.reshape(n_in, n_out), 0.0)
+        shape = (-1, len(coords_b))
+        expressed = (gate > 0.0).reshape(shape)
+        w = np.where(expressed, raw.reshape(shape), 0.0)
         if scaling == "he":
             w = he_scale(w, expressed)
         weights.append(w)
@@ -187,24 +198,54 @@ def phenotype_to_text(net: PhenotypeNetwork) -> str:
 
 
 def phenotype_from_text(text: str) -> PhenotypeNetwork:
-    lines = text.strip().splitlines()
-    if not lines or lines[0].split() != [PHENOTYPE_MAGIC, str(PHENOTYPE_VERSION)]:
+    """Parse a document written by :func:`phenotype_to_text`.
+
+    Any malformation raises ``ValueError`` naming the line: a missing or
+    mangled section header, a row with the wrong number of values, a
+    missing activation, or a document cut short (the writer always ends
+    with a newline, so a cut inside the last number is caught too).
+    """
+    if not text.endswith("\n"):
+        raise ValueError("document is truncated (no final newline)")
+    lines = text.rstrip().splitlines()
+    pos = 0
+
+    def take(what: str) -> list[str]:
+        nonlocal pos
+        if pos == len(lines):
+            raise ValueError(f"document ends before {what}")
+        pos += 1
+        return lines[pos - 1].split()
+
+    def expect(header: str) -> None:
+        if take(repr(header)) != header.split():
+            raise ValueError(f"line {pos}: expected {header!r}")
+
+    def values(count: int, what: str) -> list[float]:
+        words = take(what)
+        if len(words) != count:
+            raise ValueError(f"line {pos}: expected {count} values, got {len(words)}")
+        return [float(v) for v in words]
+
+    if take("the header") != [PHENOTYPE_MAGIC, str(PHENOTYPE_VERSION)]:
         raise ValueError(f"not a {PHENOTYPE_MAGIC} version {PHENOTYPE_VERSION} document")
-    activation = lines[1].split()[1]
-    sizes = [int(s) for s in lines[2].split()[1:]]
+    words = take("the activation")
+    if len(words) != 2 or words[0] != "activation":
+        raise ValueError(f"line {pos}: expected 'activation <name>'")
+    activation = words[1]
+    words = take("the layer sizes")
+    if words[:1] != ["layers"]:
+        raise ValueError(f"line {pos}: expected 'layers <size> <size> ...'")
+    sizes = [int(s) for s in words[1:]]
+    if len(sizes) < 2 or min(sizes) < 1:
+        raise ValueError(f"line {pos}: need at least two layer sizes, each >= 1")
     weights = []
     biases = []
-    cursor = 3
-    for i in range(len(sizes) - 1):
-        assert lines[cursor] == f"weights {i}"
-        cursor += 1
-        rows = []
-        for _ in range(sizes[i]):
-            rows.append([float(v) for v in lines[cursor].split()])
-            cursor += 1
-        weights.append(np.array(rows).reshape(sizes[i], sizes[i + 1]))
-        assert lines[cursor] == f"biases {i}"
-        cursor += 1
-        biases.append(np.array([float(v) for v in lines[cursor].split()]))
-        cursor += 1
+    for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        expect(f"weights {i}")
+        weights.append(np.array([values(n_out, f"weights {i} row {r}") for r in range(n_in)]))
+        expect(f"biases {i}")
+        biases.append(np.array(values(n_out, f"biases {i}")))
+    if pos != len(lines):
+        raise ValueError(f"line {pos + 1}: unexpected content after the last layer")
     return PhenotypeNetwork(tuple(weights), tuple(biases), activation)

@@ -72,9 +72,6 @@ class PriceSeries:
             object.__setattr__(self, "_date_index", index)
             return index[day]
 
-    def slice(self, start: int, stop: int) -> PriceSeries:
-        return PriceSeries(self.instrument_id, self.dates[start:stop], self.closes[start:stop])
-
 
 @dataclass(frozen=True)
 class Chart:

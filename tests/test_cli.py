@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chartevo.cli import (
     DROPOUT_STREAM,
@@ -154,6 +157,10 @@ class TestSynthOutputs:
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path)
 
+    def test_load_corpus_named_splits_only(self, pipeline):
+        corpus = load_corpus(pipeline["corpus"], ("validation",))
+        assert list(corpus) == ["validation"]
+
 
 class TestSeedPrecedence:
     def _synth_manifest_seed(self, tmp_path, name, extra_args, config=None):
@@ -272,3 +279,24 @@ class TestSearchCommand:
                      "--split", "validation", "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("chart_id,step,daily_change,change_to_last_day")
+
+
+@pytest.fixture(scope="module")
+def truncation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("truncated")
+
+
+@given(data=st.data())
+def test_truncated_pattern_gives_one_error_line(pipeline, run_dir, truncation_dir, data):
+    """A pattern.net cut at any byte ends with exit 1 and one chartevo: line."""
+    text = (run_dir / "pattern.net").read_bytes()
+    cut = data.draw(st.integers(0, len(text) - 1), label="cut")
+    pattern = truncation_dir / "cut.net"
+    pattern.write_bytes(text[:cut])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--corpus", str(pipeline["corpus"]),
+                     "--pattern", str(pattern), "--split", "validation", "--k", "20"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")

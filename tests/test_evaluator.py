@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from chartevo.evaluator import (
     DatasetTensors,
@@ -15,6 +16,7 @@ from chartevo.evaluator import (
     fitness,
     forward_output,
     forward_preactivations,
+    live_units,
     match_flags,
     penalty,
 )
@@ -174,6 +176,112 @@ class TestForward:
         acts = forward_preactivations(net, X)
         assert [a.shape for a in acts] == [(10, 6), (10, 3), (10, 1)]
         assert np.allclose(acts[-1][:, 0], forward_output(net, X))
+
+
+def dense_forward(net, X, masks=None):
+    """Reference forward pass: every unit of every layer, float64, unpruned."""
+    h = X
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = h @ w + b
+        if i == len(net.weights) - 1:
+            return pre[:, 0]
+        if net.activation == "sigmoid":
+            h = np.exp(-np.logaddexp(0.0, -pre))
+        else:
+            h = np.maximum(pre, 0.0)
+        if masks is not None:
+            h = h * masks[i]
+
+
+def sparse_net(rng, n_hidden, activation, dead_layer):
+    """Random sparse net, 6 inputs, with every kind of dead or constant unit.
+
+    First hidden layer: unit 0 has no input and bias <= 0, unit 1 no input
+    and bias > 0, unit 2 no output.  Second hidden layer (if any): unit 0
+    is fed only by unit 0 above.  ``dead_layer`` picks one hidden layer to
+    kill outright, by starving it (ReLU) or by cutting its outputs.
+    """
+    sizes = [6] + [int(rng.integers(3, 9)) for _ in range(n_hidden)] + [1]
+    ws = [rng.normal(size=(a, b)) * (rng.random((a, b)) < 0.5)
+          for a, b in zip(sizes, sizes[1:])]
+    bs = [rng.normal(size=b) * (rng.random(b) < 0.7) for b in sizes[1:]]
+    ws[0][:, :2] = 0.0
+    bs[0][0] = -abs(bs[0][0])
+    bs[0][1] = abs(bs[0][1]) + 0.1
+    ws[1][2, :] = 0.0
+    if n_hidden >= 2:
+        ws[1][:, 0] = 0.0
+        ws[1][0, 0] = rng.normal()
+        bs[1][0] = -abs(bs[1][0])
+    if dead_layer is not None:
+        layer = dead_layer % n_hidden
+        if activation == "relu" and rng.random() < 0.5:
+            ws[layer][:] = 0.0
+            bs[layer] = -np.abs(bs[layer])
+        else:
+            ws[layer + 1][:] = 0.0
+    return PhenotypeNetwork(tuple(ws), tuple(bs), activation)
+
+
+class TestPrunedForward:
+    def _hand_net(self, activation="relu"):
+        w0 = np.array([[0.0, 0.0, 1.0, 1.0],
+                       [0.0, 0.0, -1.0, 2.0],
+                       [0.0, 0.0, 0.5, 0.5]])
+        w1 = np.array([[0.7, 0.0, 0.0],
+                       [0.0, 1.0, 0.0],
+                       [0.0, 0.0, 0.0],
+                       [0.0, 1.0, 1.0]])
+        w2 = np.array([[1.0], [1.0], [0.0]])
+        b0 = np.array([0.0, 0.5, 0.1, 0.1])
+        b1 = np.array([-0.1, 0.0, 0.0])
+        return PhenotypeNetwork((w0, w1, w2), (b0, b1, np.array([0.2])), activation)
+
+    def test_live_units_relu(self):
+        live = live_units(self._hand_net())
+        assert [m.tolist() for m in live] == [
+            [True] * 3, [False, True, False, True], [False, True, False], [True]]
+
+    def test_live_units_with_dropout(self):
+        masks = [np.array([1.25, 1.25, 1.25, 0.0]), np.ones(3)]
+        live = live_units(self._hand_net(), masks)
+        assert [m.tolist() for m in live[1:3]] == [[False, True, False, False],
+                                                  [False, True, False]]
+
+    def test_live_units_sigmoid_keeps_constant_units(self):
+        live = live_units(self._hand_net("sigmoid"))
+        assert [m.tolist() for m in live[1:3]] == [[True, True, False, True],
+                                                  [True, True, False]]
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_hidden=st.integers(1, 3),
+        activation=st.sampled_from(["relu", "sigmoid"]),
+        dropout=st.booleans(),
+        dead_layer=st.one_of(st.none(), st.integers(0, 2)),
+        batch_size=st.sampled_from([0, 7]),
+    )
+    def test_matches_dense_reference(self, seed, n_hidden, activation, dropout,
+                                     dead_layer, batch_size):
+        rng = np.random.default_rng(seed)
+        net = sparse_net(rng, n_hidden, activation, dead_layer)
+        masks = dropout_masks(net, 0.6, rng) if dropout else None
+        X = rng.normal(size=(40, 6))
+        limit = rng.random(40) < 0.1
+        before = [a.copy() for a in (X, *net.weights, *net.biases, *(masks or ()))]
+        X.setflags(write=False)
+        for m in masks or ():
+            m.setflags(write=False)
+        tensors = DatasetTensors("training", 5, X, np.zeros(40), limit,
+                                 tuple(str(i) for i in range(40)))
+
+        reference = dense_forward(net, X, masks)
+        out = forward_output(net, X, masks, batch_size)
+        np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
+        flags = match_flags(net, tensors, masks, batch_size)
+        assert np.array_equal(flags, (reference > 0.0) & ~limit)
+        after = (X, *net.weights, *net.biases, *(masks or ()))
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 class TestPenalty:

@@ -215,3 +215,42 @@ class TestPhenotypeNetwork:
     def test_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             phenotype_from_text("not a phenotype\n")
+
+    def _small_text(self):
+        net = PhenotypeNetwork((np.ones((2, 3)), np.ones((3, 1))),
+                               (np.zeros(3), np.zeros(1)), "relu")
+        return phenotype_to_text(net)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t[:-1],                                        # final newline cut
+        lambda t: t[:t.index("biases 1")],                       # section missing
+        lambda t: t.replace("weights 1", "weigths 1"),           # mangled header
+        lambda t: t.replace("activation relu", "activation"),    # activation missing
+        lambda t: t.replace("layers 2 3 1", "layers 2 x 1"),     # bad size
+        lambda t: t.replace("layers 2 3 1", "layers 2 3 0"),     # empty layer
+        lambda t: t.replace("1.0 1.0 1.0\n", "1.0 1.0\n", 1),    # short row
+        lambda t: t.replace("weights 0\n1.0 1.0 1.0\n", "weights 0\n"),  # row missing
+        lambda t: t + "trailing\n",                              # extra content
+    ])
+    def test_text_malformations_raise_value_error(self, edit):
+        text = edit(self._small_text())
+        with pytest.raises(ValueError):
+            phenotype_from_text(text)
+
+
+class TestQueryCache:
+    def test_queries_match_per_layer_construction(self):
+        spec = standard_substrates()["network"]
+        assert len(spec.queries) == len(spec.layers) - 1
+        for i, (pair_a, pair_b, coords_b) in enumerate(spec.queries):
+            coords_a = spec.layer_coordinates(i)
+            expected_b = spec.layer_coordinates(i + 1)
+            assert np.array_equal(pair_a, np.repeat(coords_a, len(expected_b), axis=0))
+            assert np.array_equal(pair_b, np.tile(expected_b, (len(coords_a), 1)))
+            assert np.array_equal(coords_b, expected_b)
+            assert not pair_a.flags.writeable and not coords_b.flags.writeable
+
+    def test_built_once_per_spec(self):
+        spec = standard_substrates()["template"]
+        assert spec.queries is spec.queries
+
