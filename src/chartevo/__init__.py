@@ -10,7 +10,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .types import (  # noqa: F401
-    Chart,
     ConfigError,
     CorpusFormatError,
     Dataset,

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .substrate import PhenotypeNetwork
-from .types import CHART_CHANNELS, CHART_STEPS, ConfigError, Dataset, FitnessReport
+from .types import ConfigError, Dataset, FitnessReport
 
 log = logging.getLogger(__name__)
 
@@ -52,14 +52,13 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class DatasetTensors:
-    """Dense view of one split for one horizon, ready for matmul."""
+    """The rows of one split that have a return at horizon k, ready for matmul."""
 
     split: str
     k: int
     X: np.ndarray  # (n, 64) charts flattened time-major
     returns: np.ndarray  # (n,) forward log returns at k
     limit_hit: np.ndarray  # (n,) bool
-    chart_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
         for name in ("X", "returns", "limit_hit"):
@@ -71,22 +70,19 @@ class DatasetTensors:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, k: int) -> DatasetTensors:
-        keep = [c for c in dataset.charts if k in c.returns]
-        skipped = len(dataset.charts) - len(keep)
-        if skipped:
+        n, steps, channels = dataset.values.shape
+        X = dataset.values.reshape(n, steps * channels)
+        if k in dataset.horizons:
+            returns = dataset.returns[:, dataset.horizons.index(k)]
+        else:
+            returns = np.full(n, np.nan)
+        keep = ~np.isnan(returns)
+        limit = dataset.limit_hit
+        if not keep.all():
             log.debug("%s: %d charts lack a %d-day return and are excluded",
-                      dataset.split, skipped, k)
-        n = len(keep)
-        width = keep[0].values.size if keep else CHART_STEPS * CHART_CHANNELS
-        X = np.empty((n, width))
-        returns = np.empty(n)
-        limit = np.empty(n, dtype=bool)
-        for i, chart in enumerate(keep):
-            X[i] = chart.values.reshape(-1)
-            returns[i] = chart.returns[k]
-            limit[i] = chart.limit_hit
-        return cls(dataset.split, k, X, returns, limit,
-                   tuple(c.chart_id for c in keep))
+                      dataset.split, n - int(keep.sum()), k)
+            X, returns, limit = X[keep], returns[keep], limit[keep]
+        return cls(dataset.split, k, X, returns, limit)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -163,19 +159,6 @@ def forward_output(
                 pre *= kept_masks[i]
             h = pre
     return out
-
-
-def forward_preactivations(net: PhenotypeNetwork, X: np.ndarray) -> list[np.ndarray]:
-    """Per-layer preactivations (no dropout); used for variance diagnostics."""
-    acts = []
-    h = X
-    hidden = _stable_sigmoid if net.activation == "sigmoid" else None
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        pre = h @ w + b
-        acts.append(pre)
-        if i < len(net.weights) - 1:
-            h = hidden(pre) if hidden else np.maximum(pre, 0.0)
-    return acts
 
 
 def match_flags(

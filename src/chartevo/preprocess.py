@@ -12,10 +12,10 @@ The pipeline per instrument:
 5. flag charts whose entry day cannot be traded because the raw price
    jumped past the daily limit.
 
-Windows are dropped when they lack a preceding smoothed value (the very
-first window) or when no entry day exists (the very last window).  A
-missing forward return at some horizon leaves that horizon absent rather
-than dropping the chart.
+Each step runs on all of an instrument's windows at once.  Windows are
+dropped when they lack a preceding smoothed value (the very first
+window) or when no entry day exists (the very last window).  A missing
+forward return at some horizon is NaN rather than dropping the chart.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import Chart, ConfigError, Dataset, PriceSeries, SPLIT_NAMES
+from .types import COLUMNS, ConfigError, Dataset, PriceSeries, SPLIT_NAMES
 
 log = logging.getLogger(__name__)
 
@@ -131,82 +131,82 @@ def slice_series(series: PriceSeries, window: int) -> np.ndarray:
     return sliding_window_view(series.closes, window)
 
 
-def chart_values(window: np.ndarray, preceding: float, config: PreprocessConfig) -> np.ndarray:
-    """Build the (steps, 2) channel image for one smoothed window.
+def chart_values(windows: np.ndarray, preceding: np.ndarray, config: PreprocessConfig) -> np.ndarray:
+    """Build the (m, steps, 2) channel images for m smoothed windows.
 
-    Channel 0 holds day-over-day log changes (the day before the window
-    supplies the first delta); channel 1 holds log changes relative to
-    the window's final value.  Both are block-averaged by the downsample
-    factor, then channel 1 is rescaled.
+    ``windows`` has shape (m, slice_window) and ``preceding`` holds each
+    window's previous smoothed value, shape (m,).  Channel 0 holds
+    day-over-day log changes (the day before the window supplies the
+    first delta); channel 1 holds log changes relative to the window's
+    final value.  Both are block-averaged by the downsample factor, then
+    channel 1 is rescaled.
     """
-    window = np.asarray(window, dtype=np.float64)
+    windows = np.asarray(windows, dtype=np.float64)
+    preceding = np.asarray(preceding, dtype=np.float64)
     s = config.slice_window
-    if window.shape != (s,):
-        raise ValueError(f"window must have shape ({s},), got {window.shape}")
-    if preceding <= 0 or not np.all(window > 0):
+    if windows.ndim != 2 or windows.shape[1] != s or preceding.shape != windows.shape[:1]:
+        raise ValueError(f"windows must have shape (m, {s}) with m preceding values, "
+                         f"got {windows.shape} and {preceding.shape}")
+    if not (np.all(preceding > 0) and np.all(windows > 0)):
         raise ValueError("smoothed prices must be strictly positive")
     # ratios first, logs second: rescaling the whole series then cancels
     # exactly in the division, so charts are invariant to price units
-    shifted = np.concatenate(([preceding], window[:-1]))
-    daily = np.log(window / shifted)
-    to_last = np.log(window / window[-1])
-    f = config.downsample_factor
-    daily = daily.reshape(-1, f).mean(axis=1)
-    to_last = to_last.reshape(-1, f).mean(axis=1) * config.channel2_scale
-    return np.stack([daily, to_last], axis=1)
+    shifted = np.concatenate((preceding[:, None], windows[:, :-1]), axis=1)
+    daily = np.log(windows / shifted)
+    to_last = np.log(windows / windows[:, -1:])
+    blocks = (len(windows), config.chart_steps, config.downsample_factor)
+    daily = daily.reshape(blocks).mean(axis=2)
+    to_last = to_last.reshape(blocks).mean(axis=2) * config.channel2_scale
+    return np.stack([daily, to_last], axis=2)
 
 
-def forward_returns(series: PriceSeries, entry_index: int, horizons: Sequence[int]) -> dict[int, float]:
-    """k-day forward log returns of raw closes, measured from ``entry_index``.
+def forward_returns(series: PriceSeries, entry_indices: np.ndarray, horizons: Sequence[int]) -> np.ndarray:
+    """k-day forward log returns of raw closes, shape (m, len(horizons)).
 
-    Horizons that run past the end of the series are left out.
+    Row i is measured from raw index ``entry_indices[i]``; horizons that
+    run past the end of the series are NaN.
     """
     closes = series.closes
-    out: dict[int, float] = {}
-    for k in horizons:
-        j = entry_index + k
-        if j < len(closes):
-            out[k] = float(np.log(closes[j] / closes[entry_index]))
-    return out
+    entry = np.asarray(entry_indices, dtype=np.int64)
+    ahead = entry[:, None] + np.asarray(horizons, dtype=np.int64)
+    last = len(closes) - 1
+    logs = np.log(closes[np.minimum(ahead, last)] / closes[entry, None])
+    return np.where(ahead <= last, logs, np.nan)
 
 
-def limit_hit(series: PriceSeries, entry_index: int, threshold: float) -> bool:
-    """True when the raw change into the entry day reaches the daily limit."""
-    if entry_index < 1:
+def limit_hit(series: PriceSeries, entry_indices: np.ndarray, threshold: float) -> np.ndarray:
+    """Per entry index: does the raw change into the entry day reach the daily limit?"""
+    entry = np.asarray(entry_indices, dtype=np.int64)
+    if np.any(entry < 1):
         raise ValueError("entry day needs a preceding raw close")
-    change = series.closes[entry_index] / series.closes[entry_index - 1] - 1.0
-    return bool(change >= threshold)
+    closes = series.closes
+    return closes[entry] / closes[entry - 1] - 1.0 >= threshold
 
 
-def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> list[Chart]:
-    """All tradeable charts for one instrument, in entry-date order."""
-    w = config.smoothing_window
-    s = config.slice_window
+def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> Dataset:
+    """All tradeable charts for one instrument, in entry-date order.
+
+    The result is an unsplit block (``split`` is None).
+    """
+    w, s = config.smoothing_window, config.slice_window
     smoothed = smooth(series, w)
-    windows = slice_series(smoothed, s)
-    charts: list[Chart] = []
-    dropped = 0
     # window start j in the smoothed series maps to raw entry index
     # e = j + s + w - 1; j = 0 lacks a preceding smoothed value and the
-    # last start lacks an entry day, so both ends shrink by one.
-    for j in range(1, len(windows)):
-        entry_index = j + s + w - 1
-        if entry_index >= len(series):
-            dropped += 1
-            continue
-        values = chart_values(windows[j], float(smoothed.closes[j - 1]), config)
-        charts.append(
-            Chart(
-                values=values,
-                entry_date=series.dates[entry_index],
-                returns=forward_returns(series, entry_index, config.horizons),
-                limit_hit=limit_hit(series, entry_index, config.limit_threshold),
-                source_id=series.instrument_id,
-            )
-        )
-    if dropped:
-        log.debug("%s: dropped %d windows without an entry day", series.instrument_id, dropped)
-    return charts
+    # last start lacks an entry day, which leaves starts 1..m
+    m = max(0, len(series) - w - s)
+    entries = np.arange(1, m + 1) + s + w - 1
+    # one pass over the series' days; numpy's datetime64 conversion of date objects is slower
+    ordinals = np.fromiter((day.toordinal() for day in series.dates), np.int64, len(series))
+    horizons = tuple(sorted(config.horizons))
+    return Dataset(
+        split=None,
+        horizons=horizons,
+        values=chart_values(slice_series(smoothed, s)[1:m + 1], smoothed.closes[:m], config),
+        entry_ordinals=ordinals[entries],
+        returns=forward_returns(series, entries, horizons),
+        limit_hit=limit_hit(series, entries, config.limit_threshold),
+        source_ids=np.full(m, series.instrument_id),
+    )
 
 
 def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) -> dict[str, Dataset]:
@@ -221,25 +221,29 @@ def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) ->
     ids = [s.instrument_id for s in series_set]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate instrument ids in input")
-    buckets: dict[str, list[Chart]] = {name: [] for name in config.split_ranges}
-    total = 0
-    unassigned = 0
-    for series in sorted(series_set, key=lambda s: s.instrument_id):
-        for chart in charts_from_series(series, config):
-            total += 1
-            for name, span in config.split_ranges.items():
-                if chart.entry_date in span:
-                    buckets[name].append(chart)
-                    break
-            else:
-                unassigned += 1
+    blocks = [charts_from_series(s, config) for s in sorted(series_set, key=lambda s: s.instrument_id)]
+    horizons = tuple(sorted(config.horizons))
+    corpus = {}
+    for name, span in config.split_ranges.items():
+        # a block's entry ordinals ascend, so a split is one row range of it
+        bounds = [span.start.toordinal(), span.end.toordinal() + 1]
+        parts = [(b, *np.searchsorted(b.entry_ordinals, bounds)) for b in blocks]
+        parts = [(b, lo, hi) for b, lo, hi in parts if hi > lo]
+        if not parts:
+            corpus[name] = Dataset.empty(name, horizons, config.chart_steps)
+            continue
+        corpus[name] = Dataset(name, horizons, **{
+            column: np.concatenate([getattr(b, column)[lo:hi] for b, lo, hi in parts])
+            for column in COLUMNS
+        })
+    total = sum(len(b) for b in blocks)
     log.info(
         "corpus: %d charts from %d instruments (%d outside split ranges)",
-        total, len(series_set), unassigned,
+        total, len(series_set), total - sum(len(d) for d in corpus.values()),
     )
-    for name, charts in buckets.items():
-        log.info("corpus: split %s has %d charts", name, len(charts))
-    return {name: Dataset(tuple(charts), name) for name, charts in buckets.items()}
+    for name, dataset in corpus.items():
+        log.info("corpus: split %s has %d charts", name, len(dataset))
+    return corpus
 
 
 INSTRUMENT_INDEX = "instruments.json"

@@ -317,27 +317,16 @@ def export_overlay(net: PhenotypeNetwork, dataset: Dataset, path) -> int:
     change-to-last-day column carries the chart's 1/32 scaling).  A
     pattern that matches nothing still produces the header line.
     """
-    n = len(dataset.charts)
-    width = dataset.charts[0].values.size if n else net.weights[0].shape[0]
-    X = np.empty((n, width))
-    limit = np.empty(n, dtype=bool)
-    for i, chart in enumerate(dataset.charts):
-        X[i] = chart.values.reshape(-1)
-        limit[i] = chart.limit_hit
-    matched = (forward_output(net, X) > 0.0) & ~limit
-    count = 0
+    n, steps, channels = dataset.values.shape
+    matched = forward_output(net, dataset.values.reshape(n, steps * channels)) > 0.0
+    rows = np.flatnonzero(matched & ~dataset.limit_hit)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("chart_id,step,daily_change,change_to_last_day\n")
-        for i, chart in enumerate(dataset.charts):
-            if not matched[i]:
-                continue
-            count += 1
-            for step in range(chart.values.shape[0]):
-                fh.write(
-                    f"{chart.chart_id},{step},"
-                    f"{float(chart.values[step, 0])!r},{float(chart.values[step, 1])!r}\n"
-                )
-    return count
+        for row in rows.tolist():
+            chart_id = dataset.chart_id(row)
+            fh.writelines(f"{chart_id},{step},{daily!r},{to_last!r}\n"
+                          for step, (daily, to_last) in enumerate(dataset.values[row].tolist()))
+    return len(rows)
 
 
 def write_run_outputs(run: SearchRun, out_dir) -> None:

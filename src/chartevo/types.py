@@ -2,16 +2,18 @@
 
 Everything here is an immutable value object: construct, validate once,
 then pass around freely (including across worker threads).  Numpy arrays
-held by these types are defensively copied and marked read-only.
+held by these types are read-only; ``PriceSeries`` copies its closes,
+``Dataset`` takes ownership of its columns.
 """
 from __future__ import annotations
 
+import contextlib
 import datetime
 import json
 import math
+import os
 import zipfile
 from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -73,67 +75,88 @@ class PriceSeries:
             return index[day]
 
 
-@dataclass(frozen=True)
-class Chart:
-    """One preprocessed chart window.
-
-    ``values`` has shape (steps, 2) with 32 steps under the standard
-    configuration: column 0 is the day-over-day log change of the
-    smoothed price, column 1 the (scaled) log change relative to the
-    window's last day.  ``returns`` maps a horizon k to the forward log
-    return measured from the entry day (the first trading day after the
-    window); horizons that run past the end of the series are simply
-    absent.  ``limit_hit`` marks charts whose entry day opened on a
-    price jump large enough that the pattern could not have been traded.
-    """
-
-    values: np.ndarray
-    entry_date: datetime.date
-    returns: Mapping[int, float]
-    limit_hit: bool
-    source_id: str
-
-    def __post_init__(self) -> None:
-        values = _frozen_array(self.values)
-        if values.ndim != 2 or values.shape[1] != CHART_CHANNELS or values.shape[0] < 1:
-            raise ValueError(f"chart values must have shape (steps, {CHART_CHANNELS}), "
-                             f"got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("chart values must be finite")
-        object.__setattr__(self, "values", values)
-        returns = dict(self.returns)
-        for k, r in returns.items():
-            if int(k) <= 0:
-                raise ValueError(f"horizon must be positive, got {k}")
-            if not math.isfinite(r):
-                raise ValueError(f"return at horizon {k} must be finite")
-        object.__setattr__(self, "returns", returns)
-
-    @property
-    def chart_id(self) -> str:
-        return f"{self.source_id}:{self.entry_date.isoformat()}"
+# the per-chart columns of a Dataset, in field order, with their dtypes;
+# each is one member of the corpus .npz archive
+COLUMNS = {
+    "values": np.float64,
+    "returns": np.float64,
+    "entry_ordinals": np.int64,
+    "limit_hit": np.bool_,
+    "source_ids": np.str_,
+}
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An ordered, immutable collection of charts for one split."""
+    """One split's charts as parallel columns, one row per chart, in order.
 
-    charts: tuple[Chart, ...]
-    split: str
+    ``values`` has shape (n, steps, 2), 32 steps under the standard
+    configuration: column 0 is the day-over-day log change of the
+    smoothed price, column 1 the (scaled) log change relative to the
+    window's last day.  ``entry_ordinals`` holds the entry day (the first
+    trading day after the window) as a proleptic Gregorian ordinal.
+    ``returns[i, j]`` is the forward log return at ``horizons[j]``
+    measured from the entry day, NaN where the horizon runs past the end
+    of the series.  ``limit_hit`` marks charts whose entry day opened on a
+    price jump large enough that the pattern could not have been traded.
+
+    ``split`` is None for rows not bucketed into a split yet (one
+    instrument's charts).  The dataset takes ownership of the arrays it is
+    given: they are not copied, only marked read-only.
+    """
+
+    split: str | None
+    horizons: tuple[int, ...]
+    values: np.ndarray
+    returns: np.ndarray
+    entry_ordinals: np.ndarray
+    limit_hit: np.ndarray
+    source_ids: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.split not in SPLIT_NAMES:
+        if self.split is not None and self.split not in SPLIT_NAMES:
             raise ValueError(f"split must be one of {SPLIT_NAMES}, got {self.split!r}")
-        charts = tuple(self.charts)
-        if len({c.values.shape for c in charts}) > 1:
-            raise ValueError("all charts in a dataset must share one shape")
-        object.__setattr__(self, "charts", charts)
+        horizons = tuple(int(k) for k in self.horizons)
+        if any(k <= 0 for k in horizons):
+            raise ValueError(f"horizons must be positive, got {horizons}")
+        if len(set(horizons)) != len(horizons):
+            raise ValueError(f"horizons must be distinct, got {horizons}")
+        object.__setattr__(self, "horizons", horizons)
+        for name, dtype in COLUMNS.items():
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        values = self.values
+        if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] != CHART_CHANNELS:
+            raise ValueError(f"chart values must have shape (n, steps, {CHART_CHANNELS}), "
+                             f"got {values.shape}")
+        n = len(values)
+        for name, shape in (("returns", (n, len(horizons))), ("entry_ordinals", (n,)),
+                            ("limit_hit", (n,)), ("source_ids", (n,))):
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
+                                 f"expected {shape} for {n} charts")
+        if not np.isfinite(values).all():
+            raise ValueError("chart values must be finite")
+        if np.isinf(self.returns).any():
+            raise ValueError("returns must be finite or NaN")
+        ordinals = self.entry_ordinals
+        if n and (ordinals.min() < 1 or ordinals.max() > datetime.date.max.toordinal()):
+            raise ValueError("entry ordinals must be valid dates")
+
+    @classmethod
+    def empty(cls, split: str | None, horizons, steps: int = CHART_STEPS) -> Dataset:
+        """A dataset with no rows."""
+        return cls(split, tuple(horizons), np.empty((0, steps, CHART_CHANNELS)),
+                   np.empty((0, len(horizons))), np.empty(0, np.int64),
+                   np.empty(0, np.bool_), np.empty(0, np.str_))
 
     def __len__(self) -> int:
-        return len(self.charts)
+        return len(self.values)
 
-    def __iter__(self) -> Iterator[Chart]:
-        return iter(self.charts)
+    def chart_id(self, row: int) -> str:
+        day = datetime.date.fromordinal(int(self.entry_ordinals[row]))
+        return f"{self.source_ids[row]}:{day.isoformat()}"
 
 
 @dataclass(frozen=True)
@@ -193,47 +216,37 @@ class FitnessReport:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Write a Dataset to ``path`` as a compressed npz archive.
+    """Write a Dataset to ``path`` as a compressed npz archive, atomically.
 
-    The archive round-trips bit-identically: float64 payloads are stored
-    raw, dates as proleptic ordinals, and missing horizons as NaN slots
-    in a dense (n_charts, n_horizons) matrix.
+    Each column is one member of the archive, stored raw, so the round
+    trip is bit-identical; a JSON ``header`` member holds the split, the
+    row count and the horizons.  The archive is written to a temporary
+    file beside ``path`` and then moved over it, so a failed write leaves
+    any previous file in place.
     """
-    horizons = sorted({k for chart in dataset.charts for k in chart.returns})
-    n = len(dataset.charts)
-    steps = dataset.charts[0].values.shape[0] if n else CHART_STEPS
-    values = np.empty((n, steps, CHART_CHANNELS), dtype=np.float64)
-    returns = np.full((n, len(horizons)), np.nan, dtype=np.float64)
-    entry_ordinals = np.empty(n, dtype=np.int64)
-    limit_hit = np.empty(n, dtype=np.bool_)
-    source_ids = []
-    for i, chart in enumerate(dataset.charts):
-        values[i] = chart.values
-        entry_ordinals[i] = chart.entry_date.toordinal()
-        limit_hit[i] = chart.limit_hit
-        source_ids.append(chart.source_id)
-        for j, k in enumerate(horizons):
-            if k in chart.returns:
-                returns[i, j] = chart.returns[k]
     header = json.dumps(
         {
             "format": CORPUS_MAGIC,
             "version": CORPUS_VERSION,
             "split": dataset.split,
-            "count": n,
-            "horizons": [int(k) for k in horizons],
+            "count": len(dataset),
+            "horizons": list(dataset.horizons),
         },
         sort_keys=True,
     )
-    np.savez_compressed(
-        path,
-        header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-        values=values,
-        returns=returns,
-        entry_ordinals=entry_ordinals,
-        limit_hit=limit_hit,
-        source_ids=np.array(source_ids, dtype=np.str_),
-    )
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+                **{name: getattr(dataset, name) for name in COLUMNS},
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_dataset(path) -> Dataset:
@@ -245,17 +258,16 @@ def load_dataset(path) -> Dataset:
                 header = json.loads(header_bytes.decode("utf-8"))
             except (KeyError, ValueError, UnicodeDecodeError) as exc:
                 raise CorpusFormatError(f"{path}: corrupt corpus header ({exc})") from exc
-            if header.get("format") != CORPUS_MAGIC:
+            if not isinstance(header, dict) or header.get("format") != CORPUS_MAGIC:
                 raise CorpusFormatError(f"{path}: not a {CORPUS_MAGIC} archive")
             if header.get("version") != CORPUS_VERSION:
                 raise CorpusFormatError(
                     f"{path}: unsupported corpus version {header.get('version')!r}"
                 )
-            values = archive["values"]
-            returns = archive["returns"]
-            entry_ordinals = archive["entry_ordinals"]
-            limit_hit = archive["limit_hit"]
-            source_ids = archive["source_ids"]
+            missing = [name for name in COLUMNS if name not in archive.files]
+            if missing:
+                raise CorpusFormatError(f"{path}: missing members {', '.join(missing)}")
+            columns = {name: archive[name] for name in COLUMNS}
     except OSError as exc:
         raise CorpusFormatError(f"{path}: cannot read corpus ({exc})") from exc
     except (zipfile.BadZipFile, EOFError) as exc:
@@ -264,25 +276,22 @@ def load_dataset(path) -> Dataset:
         if isinstance(exc, CorpusFormatError):
             raise
         raise CorpusFormatError(f"{path}: not a corpus archive ({exc})") from exc
-    horizons = [int(k) for k in header["horizons"]]
-    n = header["count"]
-    if values.ndim != 3 or values.shape[0] != n or values.shape[2] != CHART_CHANNELS:
-        raise CorpusFormatError(f"{path}: values payload has shape {values.shape}")
-    charts = []
-    for i in range(n):
-        chart_returns = {
-            k: float(returns[i, j]) for j, k in enumerate(horizons) if not np.isnan(returns[i, j])
-        }
-        charts.append(
-            Chart(
-                values=values[i],
-                entry_date=datetime.date.fromordinal(int(entry_ordinals[i])),
-                returns=chart_returns,
-                limit_hit=bool(limit_hit[i]),
-                source_id=str(source_ids[i]),
-            )
-        )
-    return Dataset(charts=tuple(charts), split=header["split"])
+    split, n, horizons = header.get("split"), header.get("count"), header.get("horizons")
+    if (split not in SPLIT_NAMES or type(n) is not int or n < 0
+            or not isinstance(horizons, list) or not all(type(k) is int for k in horizons)):
+        raise CorpusFormatError(
+            f"{path}: header needs a split name, an integer count and integer horizons")
+    for name, dtype in COLUMNS.items():
+        if not np.issubdtype(columns[name].dtype, dtype):
+            raise CorpusFormatError(f"{path}: member {name} has dtype {columns[name].dtype}, "
+                                    f"expected {np.dtype(dtype).name}")
+    if columns["values"].shape[:1] != (n,):
+        raise CorpusFormatError(f"{path}: values has shape {columns['values'].shape}, "
+                                f"header count is {n}")
+    try:
+        return Dataset(split, tuple(horizons), **columns)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from exc
 
 
 def write_price_csv(path, series: PriceSeries) -> None:

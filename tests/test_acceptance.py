@@ -50,7 +50,7 @@ from chartevo.substrate import (
     standard_substrates,
 )
 from chartevo.synthdata import SynthConfig, generate
-from chartevo.types import Chart, Dataset, PriceSeries
+from chartevo.types import COLUMNS, Dataset, PriceSeries
 
 DESCRIPTIONS = {
     1: "penalty endpoints and closed form",
@@ -90,19 +90,20 @@ def test_criterion_01_penalty_closed_form():
 # ---------------------------------------------------------------- criterion 2
 
 
-def brute_force_fitness(net: PhenotypeNetwork, charts, k: int, alpha: float) -> float:
-    """Reference scorer: one chart at a time, no shared tensors."""
+def brute_force_fitness(net: PhenotypeNetwork, charts: Dataset, k: int, alpha: float) -> float:
+    """Reference scorer: one chart (row) at a time, no shared tensors."""
     matched_returns = []
-    for chart in charts:
-        if k not in chart.returns or chart.limit_hit:
+    j = charts.horizons.index(k)
+    for i in range(len(charts)):
+        if math.isnan(charts.returns[i, j]) or charts.limit_hit[i]:
             continue
-        h = chart.values.reshape(-1)
+        h = charts.values[i].reshape(-1)
         last = len(net.weights) - 1
         for li, (w, b) in enumerate(zip(net.weights, net.biases)):
             pre = h @ w + b
             h = pre if li == last else np.maximum(pre, 0.0)
         if h[0] > 0.0:
-            matched_returns.append(chart.returns[k])
+            matched_returns.append(charts.returns[i, j])
     m = len(matched_returns)
     if m == 0:
         return 0.0
@@ -118,12 +119,12 @@ def test_criterion_02_fitness_matches_brute_force():
     )
     series_set, _ = generate(synth)
     pre = PreprocessConfig(horizons=(20, 50))
-    charts = []
-    for series in series_set:
-        charts.extend(charts_from_series(series, pre))
-    assert len(charts) >= 1000
-    charts = tuple(charts[:1000])
-    tensors = DatasetTensors.from_dataset(Dataset(charts, "training"), 20)
+    blocks = [charts_from_series(series, pre) for series in series_set]
+    assert sum(len(b) for b in blocks) >= 1000
+    charts = Dataset("training", blocks[0].horizons, **{
+        column: np.concatenate([getattr(b, column) for b in blocks])[:1000] for column in COLUMNS
+    })
+    tensors = DatasetTensors.from_dataset(charts, 20)
 
     spec = standard_substrates()["network"]
     rng = np.random.default_rng(22)
@@ -168,17 +169,16 @@ def test_criterion_03_preprocessing_contract():
     starts = list(range(l_prime - s + 1))
     tradeable = [j for j in starts if j >= 1 and j + s + w - 1 <= l - 1]
     assert len(charts) == len(tradeable)
-    for chart in charts:
-        assert chart.values.shape == (32, 2)
+    assert charts.values.shape == (len(tradeable), 32, 2)
 
     doubled = PriceSeries(series.instrument_id, series.dates, series.closes * 2.0)
     doubled_charts = charts_from_series(doubled, config)
     assert len(doubled_charts) == len(charts)
-    for a, b in zip(charts, doubled_charts):
-        assert np.array_equal(a.values, b.values)
-        assert a.entry_date == b.entry_date
-        assert a.returns == b.returns
-        assert a.limit_hit == b.limit_hit
+    a, b = charts, doubled_charts
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.entry_ordinals, b.entry_ordinals)
+    assert np.array_equal(a.returns, b.returns, equal_nan=True)
+    assert np.array_equal(a.limit_hit, b.limit_hit)
     assert record_criterion(3, DESCRIPTIONS[3], True)
 
 
@@ -214,22 +214,27 @@ def test_criterion_04_template_reproduces_linear_rule():
             hand_w[step * 2 + ch] = math.sqrt(2.0 / 64.0) * (cx * xs[step] + cy * y)
 
     rng = np.random.default_rng(44)
-    charts = tuple(
-        Chart(
-            values=rng.normal(scale=0.02, size=(32, 2)),
-            entry_date=datetime.date(2015, 1, 5) + datetime.timedelta(days=i),
-            returns={20: float(rng.normal(scale=0.05))},
-            limit_hit=bool(rng.random() < 0.05),
-            source_id="RND",
-        )
+    rows = [
+        (rng.normal(scale=0.02, size=(32, 2)), float(rng.normal(scale=0.05)),
+         bool(rng.random() < 0.05))
         for i in range(10_000)
+    ]
+    values, returns, limit_hit = (np.array(column) for column in zip(*rows))
+    charts = Dataset(
+        split="test",
+        horizons=(20,),
+        values=values,
+        returns=returns[:, None],
+        entry_ordinals=datetime.date(2015, 1, 5).toordinal() + np.arange(10_000),
+        limit_hit=limit_hit,
+        source_ids=np.full(10_000, "RND"),
     )
-    tensors = DatasetTensors.from_dataset(Dataset(charts, "test"), 20)
+    tensors = DatasetTensors.from_dataset(charts, 20)
     package_matches = match_flags(net, tensors)
     hand_matches = np.array(
         [
-            (chart.values.reshape(-1) @ hand_w + b0 > 0.0) and not chart.limit_hit
-            for chart in charts
+            (charts.values[i].reshape(-1) @ hand_w + b0 > 0.0) and not charts.limit_hit[i]
+            for i in range(len(charts))
         ]
     )
     assert package_matches.shape == hand_matches.shape == (10_000,)
@@ -536,17 +541,19 @@ def test_criterion_10_results_row_layout():
     rng = np.random.default_rng(1010)
     datasets = {}
     for split, n in (("training", 60), ("validation", 40), ("test", 40)):
-        charts = tuple(
-            Chart(
-                values=rng.normal(scale=0.02, size=(32, 2)),
-                entry_date=datetime.date(2015, 1, 5) + datetime.timedelta(days=i),
-                returns={20: float(rng.normal(loc=0.01, scale=0.1))},
-                limit_hit=False,
-                source_id=split[:3].upper(),
-            )
-            for i in range(n)
+        values, returns = np.empty((n, 32, 2)), np.empty((n, 1))
+        for i in range(n):
+            values[i] = rng.normal(scale=0.02, size=(32, 2))
+            returns[i] = float(rng.normal(loc=0.01, scale=0.1))
+        datasets[split] = Dataset(
+            split=split,
+            horizons=(20,),
+            values=values,
+            returns=returns,
+            entry_ordinals=datetime.date(2015, 1, 5).toordinal() + np.arange(n),
+            limit_hit=np.zeros(n, dtype=bool),
+            source_ids=np.full(n, split[:3].upper()),
         )
-        datasets[split] = Dataset(charts, split)
     run = run_search(
         datasets,
         EvolutionConfig(population_size=10, generations=2, rng_seed=1),

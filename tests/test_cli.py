@@ -151,7 +151,7 @@ class TestSynthOutputs:
         corpus = load_corpus(pipeline["corpus"])
         assert len(corpus["training"]) > 50
         assert len(corpus["validation"]) > 50
-        assert all(c.values.shape == (32, 2) for c in corpus["training"].charts[:5])
+        assert corpus["training"].values.shape[1:] == (32, 2)
 
     def test_load_corpus_missing(self, tmp_path):
         with pytest.raises(CorpusFormatError):
@@ -160,6 +160,38 @@ class TestSynthOutputs:
     def test_load_corpus_named_splits_only(self, pipeline):
         corpus = load_corpus(pipeline["corpus"], ("validation",))
         assert list(corpus) == ["validation"]
+
+
+def _drop_horizons(arrays):
+    header = json.loads(arrays["header"].tobytes())
+    del header["horizons"]
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+
+
+MALFORMED_MEMBERS = {
+    "short returns": lambda a: a.update(returns=a["returns"][:10]),
+    "missing limit_hit": lambda a: a.pop("limit_hit"),
+    "header without horizons": _drop_horizons,
+    "three channels": lambda a: a.update(values=np.concatenate([a["values"], a["values"][:, :, :1]], axis=2)),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(MALFORMED_MEMBERS))
+def test_malformed_corpus_member_gives_one_error_line(pipeline, run_dir, tmp_path, damage):
+    with np.load(pipeline["corpus"] / "training.npz") as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    MALFORMED_MEMBERS[damage](arrays)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    np.savez_compressed(corpus / "training.npz", **arrays)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--corpus", str(corpus), "--pattern", str(run_dir / "pattern.net"),
+                     "--split", "training", "--k", "20"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert "training.npz" in lines[0]
 
 
 class TestSeedPrecedence:

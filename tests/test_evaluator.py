@@ -15,23 +15,26 @@ from chartevo.evaluator import (
     evaluate_population,
     fitness,
     forward_output,
-    forward_preactivations,
     live_units,
     match_flags,
     penalty,
 )
 from chartevo.substrate import PhenotypeNetwork, express, standard_substrates
 from chartevo.cppn import minimal_genome
-from chartevo.types import Chart, ConfigError, Dataset
+from chartevo.types import ConfigError, Dataset
 
 
-def make_chart(values, returns, limit=False, day=0, source="TST"):
-    return Chart(
+def make_dataset(values, returns, horizons=(5, 10), limit=False, split="training", source="TST"):
+    """Rows enter one day apart from 2015-01-05; NaN in ``returns`` marks a missing horizon."""
+    n = len(values)
+    return Dataset(
+        split=split,
+        horizons=horizons,
         values=np.asarray(values, dtype=np.float64),
-        entry_date=datetime.date(2015, 1, 5) + datetime.timedelta(days=day),
-        returns=returns,
-        limit_hit=limit,
-        source_id=source,
+        returns=np.asarray(returns, dtype=np.float64).reshape(n, len(horizons)),
+        entry_ordinals=datetime.date(2015, 1, 5).toordinal() + np.arange(n),
+        limit_hit=np.broadcast_to(limit, n),
+        source_ids=np.full(n, source),
     )
 
 
@@ -42,16 +45,14 @@ def random_net(rng, sizes=(4, 6, 3, 1), activation="relu"):
 
 
 def random_dataset(rng, n, steps=2, horizons=(5, 10), split="training"):
-    charts = []
+    values, returns, limit = [], [], []
     for i in range(n):
-        values = rng.normal(scale=0.05, size=(steps, 2))
-        returns = {
-            k: float(rng.normal(scale=0.1)) for k in horizons if rng.random() < 0.9
-        }
-        charts.append(
-            make_chart(values, returns, limit=bool(rng.random() < 0.1), day=i)
-        )
-    return Dataset(tuple(charts), split)
+        values.append(rng.normal(scale=0.05, size=(steps, 2)))
+        returns.append([
+            float(rng.normal(scale=0.1)) if rng.random() < 0.9 else np.nan for k in horizons
+        ])
+        limit.append(bool(rng.random() < 0.1))
+    return make_dataset(np.reshape(values, (n, steps, 2)), returns, horizons, limit, split)
 
 
 def scalar_forward(net, x, masks=None):
@@ -78,51 +79,49 @@ def scalar_forward(net, x, masks=None):
 
 def naive_fitness(net, dataset, k, alpha, masks=None):
     """Reference scoring: per-chart python evaluation, no tensors."""
+    j = dataset.horizons.index(k)
     matched = [
-        c for c in dataset.charts
-        if k in c.returns
-        and not c.limit_hit
-        and scalar_forward(net, c.values.reshape(-1), masks) > 0.0
+        i for i in range(len(dataset))
+        if not math.isnan(dataset.returns[i, j])
+        and not dataset.limit_hit[i]
+        and scalar_forward(net, dataset.values[i].reshape(-1), masks) > 0.0
     ]
     m = len(matched)
     pen = math.exp(-6.0 * m / alpha)
     if m == 0:
         return 0.0, 0, pen
-    return sum(c.returns[k] for c in matched) / m * pen, m, pen
+    return sum(dataset.returns[i, j] for i in matched) / m * pen, m, pen
 
 
 class TestTensors:
     def test_charts_without_horizon_excluded(self):
-        charts = (
-            make_chart(np.zeros((2, 2)), {5: 0.1}, day=0),
-            make_chart(np.zeros((2, 2)), {10: 0.2}, day=1),
-            make_chart(np.zeros((2, 2)), {5: 0.3, 10: 0.4}, day=2),
-        )
-        tensors = DatasetTensors.from_dataset(Dataset(charts, "training"), 5)
+        dataset = make_dataset(np.zeros((3, 2, 2)), [[0.1, np.nan], [np.nan, 0.2], [0.3, 0.4]])
+        tensors = DatasetTensors.from_dataset(dataset, 5)
         assert len(tensors) == 2
         assert list(tensors.returns) == [0.1, 0.3]
-        assert tensors.chart_ids == (charts[0].chart_id, charts[2].chart_id)
+        assert np.array_equal(tensors.X, dataset.values[[0, 2]].reshape(2, -1))
 
     def test_flattening_is_row_major(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        tensors = DatasetTensors.from_dataset(
-            Dataset((make_chart(values, {5: 0.0}),), "training"), 5
-        )
+        tensors = DatasetTensors.from_dataset(make_dataset([values], [[0.0]], (5,)), 5)
         assert list(tensors.X[0]) == [1.0, 2.0, 3.0, 4.0]
 
     def test_arrays_read_only(self):
-        tensors = DatasetTensors.from_dataset(
-            Dataset((make_chart(np.zeros((2, 2)), {5: 0.0}),), "training"), 5
-        )
+        tensors = DatasetTensors.from_dataset(make_dataset(np.zeros((1, 2, 2)), [[0.0]], (5,)), 5)
         with pytest.raises(ValueError):
             tensors.X[0, 0] = 1.0
 
     def test_empty_dataset(self):
-        tensors = DatasetTensors.from_dataset(Dataset((), "training"), 5)
+        tensors = DatasetTensors.from_dataset(Dataset.empty("training", (5,)), 5)
         assert len(tensors) == 0
 
+    def test_horizon_not_in_dataset_gives_no_rows(self):
+        tensors = DatasetTensors.from_dataset(make_dataset(np.zeros((3, 2, 2)), np.zeros((3, 2))), 7)
+        assert len(tensors) == 0
+        assert tensors.X.shape == (0, 4)
+
     def test_horizon_mismatch_rejected(self):
-        tensors = DatasetTensors.from_dataset(Dataset((), "training"), 5)
+        tensors = DatasetTensors.from_dataset(Dataset.empty("training", (5,)), 5)
         net = random_net(np.random.default_rng(0))
         with pytest.raises(ConfigError):
             fitness(net, tensors, EvalConfig(k=10))
@@ -168,14 +167,6 @@ class TestForward:
     def test_empty_input(self):
         net = random_net(np.random.default_rng(6))
         assert forward_output(net, np.zeros((0, 4))).shape == (0,)
-
-    def test_preactivations_chain(self):
-        rng = np.random.default_rng(7)
-        net = random_net(rng)
-        X = rng.normal(size=(10, 4))
-        acts = forward_preactivations(net, X)
-        assert [a.shape for a in acts] == [(10, 6), (10, 3), (10, 1)]
-        assert np.allclose(acts[-1][:, 0], forward_output(net, X))
 
 
 def dense_forward(net, X, masks=None):
@@ -272,8 +263,7 @@ class TestPrunedForward:
         X.setflags(write=False)
         for m in masks or ():
             m.setflags(write=False)
-        tensors = DatasetTensors("training", 5, X, np.zeros(40), limit,
-                                 tuple(str(i) for i in range(40)))
+        tensors = DatasetTensors("training", 5, X, np.zeros(40), limit)
 
         reference = dense_forward(net, X, masks)
         out = forward_output(net, X, masks, batch_size)
@@ -310,13 +300,10 @@ class TestFitness:
 
     def test_positive_bias_matches_everything_unvetoed(self):
         net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([0.5]),), "relu")
-        charts = (
-            make_chart(np.zeros((2, 2)), {5: 0.10}, day=0),
-            make_chart(np.zeros((2, 2)), {5: 0.30}, day=1),
-            make_chart(np.zeros((2, 2)), {5: 9.99}, limit=True, day=2),
-            make_chart(np.zeros((2, 2)), {10: 0.70}, day=3),
-        )
-        report = fitness(net, Dataset(charts, "training"), EvalConfig(k=5, alpha=100.0))
+        data = make_dataset(np.zeros((4, 2, 2)),
+                            [[0.10, np.nan], [0.30, np.nan], [9.99, np.nan], [np.nan, 0.70]],
+                            limit=[False, False, True, False])
+        report = fitness(net, data, EvalConfig(k=5, alpha=100.0))
         assert report.match_count == 2
         assert report.mean_log_return == pytest.approx(0.2)
         assert report.penalty == pytest.approx(math.exp(-12.0 / 100.0), rel=1e-15)
@@ -324,15 +311,15 @@ class TestFitness:
 
     def test_limit_hit_vetoes_match(self):
         net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),), "relu")
-        charts = (make_chart(np.zeros((2, 2)), {5: 5.0}, limit=True),)
-        report = fitness(net, Dataset(charts, "training"), EvalConfig(k=5))
+        data = make_dataset(np.zeros((1, 2, 2)), [[5.0]], (5,), limit=True)
+        report = fitness(net, data, EvalConfig(k=5))
         assert report.match_count == 0
         assert report.fitness == 0.0
 
     def test_strictly_positive_output_required(self):
         net = PhenotypeNetwork((np.zeros((4, 1)),), (np.zeros(1),), "relu")
-        charts = (make_chart(np.zeros((2, 2)), {5: 1.0}),)
-        flags = match_flags(net, DatasetTensors.from_dataset(Dataset(charts, "training"), 5))
+        data = make_dataset(np.zeros((1, 2, 2)), [[1.0]], (5,))
+        flags = match_flags(net, DatasetTensors.from_dataset(data, 5))
         assert not flags[0]
 
     def test_matches_naive_reference(self):
@@ -349,8 +336,8 @@ class TestFitness:
 
     def test_negative_mean_return_allowed(self):
         net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),), "relu")
-        charts = (make_chart(np.zeros((2, 2)), {5: -0.4}),)
-        report = fitness(net, Dataset(charts, "training"), EvalConfig(k=5, alpha=1e5))
+        data = make_dataset(np.zeros((1, 2, 2)), [[-0.4]], (5,))
+        report = fitness(net, data, EvalConfig(k=5, alpha=1e5))
         assert report.fitness < 0.0
 
 

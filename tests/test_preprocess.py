@@ -118,10 +118,14 @@ class TestSlice:
         assert len(slice_series(weekday_series([1.0, 2.0]), 5)) == 0
 
 
+def one_chart_values(window, preceding, cfg):
+    return chart_values(np.asarray(window)[None], np.array([preceding]), cfg)[0]
+
+
 class TestChartValues:
     def test_constant_window_is_zero(self):
         cfg = SMALL
-        values = chart_values(np.full(8, 3.0), 3.0, cfg)
+        values = one_chart_values(np.full(8, 3.0), 3.0, cfg)
         assert values.shape == (4, 2)
         assert np.all(values == 0.0)
 
@@ -129,7 +133,7 @@ class TestChartValues:
         cfg = SMALL
         g = 1.01
         window = 5.0 * g ** np.arange(8)
-        values = chart_values(window, 5.0 / g, cfg)
+        values = one_chart_values(window, 5.0 / g, cfg)
         assert np.allclose(values[:, 0], math.log(g), rtol=1e-12)
         # channel 2: log distance to the final value, then scaled
         expected_last = 0.0
@@ -139,35 +143,87 @@ class TestChartValues:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            chart_values(np.full(8, 1.0), 0.0, SMALL)
+            one_chart_values(np.full(8, 1.0), 0.0, SMALL)
+
+    def test_batch_rows_are_independent(self):
+        windows = 5.0 * 1.01 ** np.arange(24).reshape(3, 8)
+        batch = chart_values(windows, np.array([4.0, 4.5, 6.0]), SMALL)
+        assert batch.shape == (3, 4, 2)
+        for i, preceding in enumerate([4.0, 4.5, 6.0]):
+            assert np.array_equal(batch[i], one_chart_values(windows[i], preceding, SMALL))
+
+
+def returns_dict(horizons, row):
+    """One row of returns as a {horizon: return} dict, NaN (missing) left out."""
+    return {k: float(r) for k, r in zip(horizons, row) if not np.isnan(r)}
+
+
+def returns_at(series, entry, horizons):
+    return returns_dict(horizons, forward_returns(series, np.array([entry]), horizons)[0])
 
 
 class TestLabels:
     def test_forward_returns_flat(self):
         s = weekday_series([4.0] * 20)
-        assert forward_returns(s, 5, (2, 5)) == {2: 0.0, 5: 0.0}
+        assert returns_at(s, 5, (2, 5)) == {2: 0.0, 5: 0.0}
 
     def test_forward_returns_hand_value(self):
         closes = [1.0] * 10
         closes[7] = 1.1
         s = weekday_series(closes)
-        r = forward_returns(s, 5, (2,))
+        r = returns_at(s, 5, (2,))
         assert r[2] == pytest.approx(math.log(1.1), rel=1e-12)
 
     def test_missing_horizon_absent(self):
         s = weekday_series([1.0] * 10)
-        assert forward_returns(s, 8, (1, 5)) == {1: 0.0}
+        assert returns_at(s, 8, (1, 5)) == {1: 0.0}
+        assert np.isnan(forward_returns(s, np.array([8]), (1, 5))[0, 1])
 
     def test_limit_hit_threshold_inclusive(self):
         # 1.25 / 1.0 - 1.0 is exactly 0.25 in binary, so this probes the
         # >= boundary without float-representation slack
         s = weekday_series([1.0, 1.25, 1.25])
-        assert limit_hit(s, 1, 0.25)
-        assert not limit_hit(s, 2, 0.25)
+        assert list(limit_hit(s, np.array([1, 2]), 0.25)) == [True, False]
 
     def test_limit_hit_default_threshold(self):
-        assert limit_hit(weekday_series([1.0, 1.30]), 1, 0.295)
-        assert not limit_hit(weekday_series([1.0, 1.29]), 1, 0.295)
+        assert limit_hit(weekday_series([1.0, 1.30]), np.array([1]), 0.295)[0]
+        assert not limit_hit(weekday_series([1.0, 1.29]), np.array([1]), 0.295)[0]
+
+    def test_limit_hit_needs_preceding_close(self):
+        with pytest.raises(ValueError):
+            limit_hit(weekday_series([1.0, 1.30]), np.array([0, 1]), 0.295)
+
+
+def reference_charts(series, cfg):
+    """Per-window loop over the single-window preprocessing steps, kept as an oracle.
+
+    Rows are (entry date, values, {horizon: return}, limit hit), one per
+    tradeable window, with every step written for one window at a time.
+    """
+    w, s = cfg.smoothing_window, cfg.slice_window
+    smoothed = smooth(series, w)
+    windows = slice_series(smoothed, s)
+    closes = series.closes
+    out = []
+    for j in range(1, len(windows)):
+        entry_index = j + s + w - 1
+        if entry_index >= len(series):
+            continue
+        window, preceding = windows[j], float(smoothed.closes[j - 1])
+        shifted = np.concatenate(([preceding], window[:-1]))
+        daily = np.log(window / shifted)
+        to_last = np.log(window / window[-1])
+        f = cfg.downsample_factor
+        daily = daily.reshape(-1, f).mean(axis=1)
+        to_last = to_last.reshape(-1, f).mean(axis=1) * cfg.channel2_scale
+        returns = {}
+        for k in cfg.horizons:
+            if entry_index + k < len(closes):
+                returns[k] = float(np.log(closes[entry_index + k] / closes[entry_index]))
+        change = closes[entry_index] / closes[entry_index - 1] - 1.0
+        out.append((series.dates[entry_index], np.stack([daily, to_last], axis=1), returns,
+                    bool(change >= cfg.limit_threshold)))
+    return out
 
 
 class TestChartsFromSeries:
@@ -176,14 +232,46 @@ class TestChartsFromSeries:
         charts = charts_from_series(series, SMALL)
         oracle = naive_charts(series, SMALL)
         assert len(charts) == len(oracle)
-        for chart, (entry, d1, d2, returns, limit) in zip(charts, oracle):
-            assert chart.entry_date == entry
-            assert np.allclose(chart.values[:, 0], d1, rtol=0, atol=1e-14)
-            assert np.allclose(chart.values[:, 1], d2, rtol=0, atol=1e-14)
-            assert chart.limit_hit == limit
-            assert set(chart.returns) == set(returns)
+        for i, (entry, d1, d2, returns, limit) in enumerate(oracle):
+            assert datetime.date.fromordinal(int(charts.entry_ordinals[i])) == entry
+            assert np.allclose(charts.values[i, :, 0], d1, rtol=0, atol=1e-14)
+            assert np.allclose(charts.values[i, :, 1], d2, rtol=0, atol=1e-14)
+            assert charts.limit_hit[i] == limit
+            row = returns_dict(charts.horizons, charts.returns[i])
+            assert set(row) == set(returns)
             for k, v in returns.items():
-                assert chart.returns[k] == pytest.approx(v, rel=1e-12)
+                assert row[k] == pytest.approx(v, rel=1e-12)
+
+    @given(
+        n_days=st.integers(0, 300),
+        seed=st.integers(0, 2**31 - 1),
+        smoothing=st.integers(1, 6),
+        steps=st.integers(1, 6),
+        factor=st.sampled_from([1, 2, 4, 8]),
+        horizons=st.lists(st.integers(1, 400), min_size=1, max_size=3, unique=True),
+        jump_day=st.integers(0, 299),
+    )
+    def test_bit_identical_to_per_window_reference(self, n_days, seed, smoothing, steps,
+                                                   factor, horizons, jump_day):
+        rng = np.random.default_rng(seed)
+        closes = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n_days)))
+        if jump_day < n_days:
+            closes[jump_day:] *= 1.4  # one limit-hit day
+        series = weekday_series(closes)
+        cfg = PreprocessConfig(smoothing_window=smoothing, slice_window=steps * factor,
+                               downsample_factor=factor, channel2_scale=0.25,
+                               horizons=tuple(horizons))
+        charts = charts_from_series(series, cfg)
+        reference = reference_charts(series, cfg)
+        assert len(charts) == len(reference)
+        assert charts.horizons == tuple(sorted(horizons))
+        for i, (entry, values, returns, limit) in enumerate(reference):
+            assert charts.chart_id(i) == f"S:{entry.isoformat()}"
+            assert np.array_equal(charts.values[i], values)
+            expected = [returns.get(k, np.nan) for k in charts.horizons]
+            assert np.array_equal(charts.returns[i], expected, equal_nan=True)
+            assert np.array_equal(np.isnan(charts.returns[i]), np.isnan(expected))
+            assert charts.limit_hit[i] == limit
 
     def test_chart_count(self):
         # dropping the no-preceding-window start and the no-entry-day end
@@ -198,10 +286,10 @@ class TestChartsFromSeries:
         series = random_series(180, seed=8)
         charts = charts_from_series(series, PreprocessConfig())
         assert len(charts) == 180 - 24 - 128
-        assert all(c.values.shape == (32, 2) for c in charts)
+        assert charts.values.shape[1:] == (32, 2)
 
     def test_too_short_yields_nothing(self):
-        assert charts_from_series(random_series(100), PreprocessConfig()) == []
+        assert len(charts_from_series(random_series(100), PreprocessConfig())) == 0
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15)
@@ -211,13 +299,11 @@ class TestChartsFromSeries:
         a = charts_from_series(series, SMALL)
         b = charts_from_series(doubled, SMALL)
         assert len(a) == len(b)
-        for ca, cb in zip(a, b):
-            assert np.array_equal(ca.values, cb.values)  # exact, not approximate
-            assert ca.limit_hit == cb.limit_hit
+        assert np.array_equal(a.values, b.values)  # exact, not approximate
+        assert np.array_equal(a.limit_hit, b.limit_hit)
 
     def test_all_values_finite(self):
-        for chart in charts_from_series(random_series(90, seed=11), SMALL):
-            assert np.all(np.isfinite(chart.values))
+        assert np.all(np.isfinite(charts_from_series(random_series(90, seed=11), SMALL).values))
 
 
 class TestConfigValidation:
@@ -264,9 +350,11 @@ class TestBuildCorpus:
         # oracle: re-derive every chart and filter by entry date directly
         expected = {name: 0 for name in cfg.split_ranges}
         for series in series_set:
-            for chart in charts_from_series(series, cfg):
+            charts = charts_from_series(series, cfg)
+            for ordinal in charts.entry_ordinals:
+                entry_date = datetime.date.fromordinal(int(ordinal))
                 for name, span in cfg.split_ranges.items():
-                    if span.start <= chart.entry_date <= span.end:
+                    if span.start <= entry_date <= span.end:
                         expected[name] += 1
         assert {name: len(ds) for name, ds in corpus.items()} == expected
         assert sum(expected.values()) > 0
@@ -293,8 +381,8 @@ class TestBuildCorpus:
         a = build_corpus(series_set, cfg)
         b = build_corpus(list(reversed(series_set)), cfg)
         for name in a:
-            ids_a = [c.chart_id for c in a[name].charts]
-            ids_b = [c.chart_id for c in b[name].charts]
+            ids_a = [a[name].chart_id(i) for i in range(len(a[name]))]
+            ids_b = [b[name].chart_id(i) for i in range(len(b[name]))]
             assert ids_a == ids_b
 
 

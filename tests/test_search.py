@@ -26,23 +26,26 @@ from chartevo.search import (
     write_run_outputs,
 )
 from chartevo.substrate import PhenotypeNetwork, express, phenotype_to_text, standard_substrates
-from chartevo.types import Chart, ConfigError, Dataset, FitnessReport
+from chartevo.types import ConfigError, Dataset, FitnessReport
 
 
 def make_corpus(sizes=(60, 40, 40), seed=0, k=5, limit_all=False):
     rng = np.random.default_rng(seed)
     corpus = {}
     for split, n in zip(("training", "validation", "test"), sizes):
-        charts = []
+        values, returns = np.empty((n, 32, 2)), np.empty((n, 1))
         for i in range(n):
-            charts.append(Chart(
-                values=rng.normal(scale=0.05, size=(32, 2)),
-                entry_date=datetime.date(2015, 1, 1) + datetime.timedelta(days=i),
-                returns={k: float(rng.normal(0.01, 0.1))},
-                limit_hit=limit_all,
-                source_id=f"T{i:03d}",
-            ))
-        corpus[split] = Dataset(tuple(charts), split)
+            values[i] = rng.normal(scale=0.05, size=(32, 2))
+            returns[i] = float(rng.normal(0.01, 0.1))
+        corpus[split] = Dataset(
+            split=split,
+            horizons=(k,),
+            values=values,
+            returns=returns,
+            entry_ordinals=datetime.date(2015, 1, 1).toordinal() + np.arange(n),
+            limit_hit=np.full(n, limit_all),
+            source_ids=[f"T{i:03d}" for i in range(n)],
+        )
     return corpus
 
 
@@ -208,11 +211,11 @@ class TestOverlay:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + 5 * 32
         first = lines[1].split(",")
-        chart = corpus["training"].charts[0]
-        assert first[0] == chart.chart_id
+        chart = corpus["training"]
+        assert first[0] == chart.chart_id(0)
         assert first[1] == "0"
-        assert float(first[2]) == chart.values[0, 0]
-        assert float(first[3]) == chart.values[0, 1]
+        assert float(first[2]) == chart.values[0, 0, 0]
+        assert float(first[3]) == chart.values[0, 0, 1]
 
     def test_limit_hits_never_exported(self, tmp_path):
         corpus = make_corpus(sizes=(4, 1, 1), limit_all=True)

@@ -173,15 +173,16 @@ class TestRecoverability:
         span = config.motif_length + config.drift_horizon
         for s in series:
             marks = entries.get(s.instrument_id, [])
-            for chart in charts_from_series(s, pre):
-                if 20 not in chart.returns:
+            charts = charts_from_series(s, pre)
+            for ordinal, r20 in zip(charts.entry_ordinals, charts.returns[:, charts.horizons.index(20)]):
+                if np.isnan(r20):
                     continue
-                idx = s.index_of(chart.entry_date)
+                idx = s.index_of(datetime.date.fromordinal(int(ordinal)))
                 if idx in marks:
-                    injected.append(chart.returns[20])
+                    injected.append(r20)
                 elif all(abs(idx - e) > span for e in marks):
                     # far from every motif, so the forward window is pure noise
-                    clean.append(chart.returns[20])
+                    clean.append(r20)
         assert injected, "planted entries must produce charts"
         assert np.mean(injected) > np.mean(clean) + 0.05
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chartevo.types import (
-    Chart,
     CorpusFormatError,
     Dataset,
     FitnessReport,
@@ -23,15 +22,27 @@ def days(n, start=datetime.date(2012, 1, 2)):
     return tuple(start + datetime.timedelta(days=i) for i in range(n))
 
 
-def make_chart(seed=0, entry=datetime.date(2013, 5, 6), limit=False, returns=None):
-    rng = np.random.default_rng(seed)
-    return Chart(
-        values=rng.normal(0, 0.01, (32, 2)),
-        entry_date=entry,
-        returns={20: 0.05, 50: -0.01} if returns is None else returns,
-        limit_hit=limit,
-        source_id=f"T{seed}",
+def make_dataset(seeds=(0,), entry=datetime.date(2013, 5, 6), limit=False, returns=None,
+                 split="training"):
+    """One row per seed: random values, ``returns`` a per-row {horizon: value} dict."""
+    rows = [{20: 0.05, 50: -0.01} if returns is None else returns(i) for i in range(len(seeds))]
+    horizons = sorted({k for row in rows for k in row})
+    return Dataset(
+        split=split,
+        horizons=tuple(horizons),
+        values=np.array([np.random.default_rng(seed).normal(0, 0.01, (32, 2)) for seed in seeds]),
+        returns=np.array([[row.get(k, np.nan) for k in horizons] for row in rows]).reshape(
+            len(rows), len(horizons)),
+        entry_ordinals=np.full(len(seeds), entry.toordinal()),
+        limit_hit=np.full(len(seeds), limit),
+        source_ids=np.array([f"T{seed}" for seed in seeds]),
     )
+
+
+def one_row(values):
+    """A one-chart training Dataset holding ``values``, with no returns."""
+    return Dataset("training", (), np.asarray(values)[None], np.empty((1, 0)),
+                   [datetime.date(2013, 1, 2).toordinal()], [False], ["X"])
 
 
 class TestPriceSeries:
@@ -62,23 +73,54 @@ class TestPriceSeries:
 class TestChart:
     def test_shape_enforced(self):
         with pytest.raises(ValueError):
-            Chart(np.zeros((16, 3)), datetime.date(2013, 1, 2), {}, False, "X")
+            one_row(np.zeros((16, 3)))
         with pytest.raises(ValueError):
-            Chart(np.zeros(32), datetime.date(2013, 1, 2), {}, False, "X")
+            one_row(np.zeros(32))
 
     def test_rejects_nonfinite_values(self):
         values = np.zeros((32, 2))
         values[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            Chart(values, datetime.date(2013, 1, 2), {}, False, "X")
+            one_row(values)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
-            make_chart(returns={0: 0.1})
+            make_dataset(returns=lambda i: {0: 0.1})
 
     def test_chart_id(self):
-        c = make_chart(seed=3, entry=datetime.date(2013, 5, 6))
-        assert c.chart_id == "T3:2013-05-06"
+        c = make_dataset(seeds=(3,), entry=datetime.date(2013, 5, 6))
+        assert c.chart_id(0) == "T3:2013-05-06"
+
+
+class TestDataset:
+    def test_columns_are_read_only_and_not_copied(self):
+        values = np.zeros((2, 32, 2))
+        ds = Dataset("test", (20,), values, np.zeros((2, 1)), [1, 2], [False, True], ["A", "B"])
+        assert ds.values is values
+        with pytest.raises(ValueError):
+            values[0, 0, 0] = 1.0
+
+    def test_rejects_infinite_return(self):
+        with pytest.raises(ValueError, match="finite or NaN"):
+            make_dataset(returns=lambda i: {20: np.inf})
+
+    def test_rejects_duplicate_horizons(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Dataset("test", (20, 20), np.zeros((1, 32, 2)), np.zeros((1, 2)), [1], [False], ["A"])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="limit_hit"):
+            Dataset("test", (20,), np.zeros((2, 32, 2)), np.zeros((2, 1)), [1, 2], [False], ["A", "B"])
+
+    def test_rejects_unknown_split(self):
+        with pytest.raises(ValueError, match="split"):
+            make_dataset(split="holdout")
+
+    def test_empty(self):
+        ds = Dataset.empty("validation", (20, 50))
+        assert len(ds) == 0
+        assert ds.values.shape == (0, 32, 2)
+        assert ds.returns.shape == (0, 2)
 
 
 class TestFitnessReport:
@@ -102,24 +144,45 @@ class TestFitnessReport:
 
 class TestCorpusPersistence:
     def test_round_trip_bit_identical(self, tmp_path):
-        charts = [make_chart(seed=i, returns={20: 0.1 * i} if i % 2 else None) for i in range(7)]
-        ds = Dataset(tuple(charts), "training")
+        ds = make_dataset(seeds=range(7),
+                          returns=lambda i: {20: 0.1 * i} if i % 2 else {20: 0.05, 50: -0.01})
         path = tmp_path / "training.npz"
         save_dataset(path, ds)
         again = load_dataset(path)
         assert again.split == ds.split
         assert len(again) == len(ds)
-        for a, b in zip(again.charts, ds.charts):
-            assert np.array_equal(a.values, b.values)  # bit-exact payload
-            assert a.entry_date == b.entry_date
-            assert a.returns == b.returns
-            assert a.limit_hit == b.limit_hit
-            assert a.source_id == b.source_id
+        assert again.horizons == ds.horizons
+        assert np.array_equal(again.values, ds.values)  # bit-exact payload
+        assert np.array_equal(again.entry_ordinals, ds.entry_ordinals)
+        assert np.array_equal(again.returns, ds.returns, equal_nan=True)
+        assert np.array_equal(again.limit_hit, ds.limit_hit)
+        assert np.array_equal(again.source_ids, ds.source_ids)
 
     def test_empty_dataset_round_trip(self, tmp_path):
         path = tmp_path / "validation.npz"
-        save_dataset(path, Dataset((), "validation"))
+        save_dataset(path, Dataset.empty("validation", ()))
         assert len(load_dataset(path)) == 0
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "training.npz"
+        save_dataset(path, make_dataset(seeds=range(3)))
+        before = path.read_bytes()
+
+        def fail_partway(fh, **arrays):
+            fh.write(b"partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", fail_partway)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(path, make_dataset(seeds=range(5)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["training.npz"]
+
+    def test_writes_exactly_the_given_path(self, tmp_path):
+        path = tmp_path / "corpus-part"
+        save_dataset(path, make_dataset())
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus-part"]
+        assert len(load_dataset(path)) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusFormatError):
