@@ -83,15 +83,18 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _build_config(cls, section: dict, overrides: dict):
-    """Merge a config-file section and CLI overrides onto dataclass defaults."""
+def _build_config(cls, name: str, section: dict, overrides: dict):
+    """Merge config-file section ``name`` and CLI overrides onto dataclass defaults."""
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(section) - valid)
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     merged = dict(section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**merged)
+    try:
+        return cls(**merged)
+    except TypeError as exc:
+        raise ConfigError(f"config section {name!r} has a value of the wrong type ({exc})") from exc
 
 
 def _parse_date(value) -> datetime.date:
@@ -181,7 +184,7 @@ def _cmd_synth(args) -> int:
         overrides["seed"] = stream_seed(args.seed, SYNTH_STREAM)
     elif "seed" not in section:
         section["seed"] = stream_seed(0, SYNTH_STREAM)
-    config = _build_config(SynthConfig, section, overrides)
+    config = _build_config(SynthConfig, "synth", section, overrides)
     series_list, injections = generate(config)
     write_manifest(args.out, "synth", {"synth": config}, args.seed or 0, [])
     write_price_directory(args.out, series_list)
@@ -192,7 +195,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     section = _convert_preprocess_section(_load_config_file(args.config).get("preprocess", {}))
-    config = _build_config(PreprocessConfig, section, {})
+    config = _build_config(PreprocessConfig, "preprocess", section, {})
     series_list = load_price_directory(args.prices)
     corpus = build_corpus(series_list, config)
     inputs = [os.path.join(args.prices, INSTRUMENT_INDEX)]
@@ -225,9 +228,10 @@ def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions]:
         eval_section["rng_seed"] = stream_seed(0, DROPOUT_STREAM)
 
     options_overrides = {"substrate": args.substrate}
-    evolution_config = _build_config(EvolutionConfig, evolution_section, evolution_overrides)
-    eval_config = _build_config(EvalConfig, eval_section, eval_overrides)
-    options = _build_config(SearchOptions, search_section, options_overrides)
+    evolution_config = _build_config(EvolutionConfig, "evolution", evolution_section,
+                                     evolution_overrides)
+    eval_config = _build_config(EvalConfig, "eval", eval_section, eval_overrides)
+    options = _build_config(SearchOptions, "search", search_section, options_overrides)
     return evolution_config, eval_config, options
 
 
@@ -246,7 +250,6 @@ def _cmd_search(args) -> int:
         evolution_config,
         eval_config,
         options,
-        workers=args.workers,
         checkpoint_dir=os.path.join(args.out, "checkpoints"),
         resume_from=args.resume,
     )
@@ -336,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="match-count penalty scale")
     p.add_argument("--population", type=int)
     p.add_argument("--generations", type=int)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--resume", help="checkpoint file to continue from")
     p.set_defaults(func=_cmd_search)
 

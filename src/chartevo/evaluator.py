@@ -12,13 +12,12 @@ Dropout is available for training-split evaluation: hidden activations
 are zeroed with probability 1 - retain and survivors rescaled by
 1 / retain, one fixed mask per organism per evaluation pass, drawn from
 a stream keyed by (seed, generation, organism index) so results do not
-depend on scheduling.
+depend on evaluation order.
 """
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,6 @@ class EvalConfig:
     alpha: float = 100000.0
     dropout_retain: float = 0.8
     dropout_enabled: bool = True
-    batch_size: int = 0  # 0 evaluates the whole corpus in one pass
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -46,8 +44,6 @@ class EvalConfig:
             raise ConfigError("alpha must be positive")
         if not 0.0 < self.dropout_retain <= 1.0:
             raise ConfigError("dropout_retain must lie in (0, 1]")
-        if self.batch_size < 0:
-            raise ConfigError("batch_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -121,14 +117,14 @@ def forward_output(
     net: PhenotypeNetwork,
     X: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
-    batch_size: int = 0,
 ) -> np.ndarray:
     """Output preactivations, shape (n,); optional fixed dropout masks.
 
     ``masks`` holds one per hidden layer (scaled keep/drop factors); the
     output layer is never masked.  Only the sub-network of
-    :func:`live_units` is run: dead units contribute exact zeros, so the
-    result equals the dense pass up to summation order.
+    :func:`live_units` is run, over all of ``X`` in one pass: dead units
+    contribute exact zeros, so the result equals the dense pass up to
+    summation order.
     """
     if X.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input width {X.shape[1]} does not fit network "
@@ -139,36 +135,29 @@ def forward_output(
     weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
     biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
     kept_masks = None if masks is None else [m[keep] for m, keep in zip(masks, live[1:])]
-    n = X.shape[0]
-    step = batch_size if batch_size > 0 else max(n, 1)
-    out = np.empty(n)
-    last = len(weights) - 1
-    for start in range(0, n, step):
-        h = X[start:start + step]
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            pre = h @ w
-            pre += b
-            if i == last:
-                out[start:start + step] = pre[:, 0]
-                break
-            if net.activation == "sigmoid":
-                pre = _stable_sigmoid(pre)
-            else:
-                np.maximum(pre, 0.0, out=pre)
-            if kept_masks is not None:
-                pre *= kept_masks[i]
-            h = pre
-    return out
+    h = X
+    for i, (w, b) in enumerate(zip(weights[:-1], biases)):
+        pre = h @ w
+        pre += b
+        if net.activation == "sigmoid":
+            pre = _stable_sigmoid(pre)
+        else:
+            np.maximum(pre, 0.0, out=pre)
+        if kept_masks is not None:
+            pre *= kept_masks[i]
+        h = pre
+    out = h @ weights[-1]
+    out += biases[-1]
+    return out[:, 0]
 
 
 def match_flags(
     net: PhenotypeNetwork,
     tensors: DatasetTensors,
     masks: Sequence[np.ndarray] | None = None,
-    batch_size: int = 0,
 ) -> np.ndarray:
     """Boolean match per chart: strictly positive output, limit hits vetoed."""
-    out = forward_output(net, tensors.X, masks, batch_size)
+    out = forward_output(net, tensors.X, masks)
     return (out > 0.0) & ~tensors.limit_hit
 
 
@@ -206,7 +195,7 @@ def fitness(
 ) -> FitnessReport:
     """Score one network on one split."""
     tensors = _as_tensors(data, config.k)
-    flags = match_flags(net, tensors, masks, config.batch_size)
+    flags = match_flags(net, tensors, masks)
     count = int(flags.sum())
     mean_return = float(tensors.returns[flags].sum() / count) if count else 0.0
     return FitnessReport.from_stats(config.k, count, mean_return, penalty(count, config.alpha))
@@ -217,13 +206,11 @@ def evaluate_population(
     data: Dataset | DatasetTensors,
     config: EvalConfig,
     generation: int = 0,
-    workers: int = 1,
 ) -> list[FitnessReport]:
     """Score a whole generation; results line up with ``nets`` by index.
 
     With dropout enabled each organism gets its own mask stream keyed by
-    (generation, index), so worker count and completion order cannot
-    change any report.
+    (generation, index), so no report depends on which others are scored.
     """
     tensors = _as_tensors(data, config.k)
 
@@ -234,7 +221,4 @@ def evaluate_population(
             masks = dropout_masks(nets[index], config.dropout_retain, rng)
         return fitness(nets[index], tensors, config, masks)
 
-    if workers <= 1:
-        return [score(i) for i in range(len(nets))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(score, range(len(nets))))
+    return [score(i) for i in range(len(nets))]

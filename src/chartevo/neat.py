@@ -34,15 +34,19 @@ from .cppn import (
     OUTPUT_IDS,
     WEIGHT_LIMIT,
     clamp_weight,
+    from_text,
     minimal_genome,
+    to_text,
     would_create_cycle,
 )
-from .types import ConfigError
+from .types import ConfigError, atomic_open
 
 log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = "chartevo-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# what reading a well-formed JSON document with wrong keys or values can raise
+CHECKPOINT_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -495,23 +499,8 @@ class Evolution:
         return stats
 
 
-def _genome_to_jsonable(genome: CppnGenome) -> dict:
-    return {
-        "nodes": [[n.id, n.role, n.activation] for n in genome.nodes],
-        "connections": [[c.innovation, c.src, c.dst, c.weight, int(c.enabled)] for c in genome.connections],
-    }
-
-
-def _genome_from_jsonable(data: dict) -> CppnGenome:
-    nodes = tuple(NodeGene(int(i), role, act) for i, role, act in data["nodes"])
-    conns = tuple(
-        ConnectionGene(int(innov), int(src), int(dst), float(w), bool(en))
-        for innov, src, dst, w, en in data["connections"]
-    )
-    return CppnGenome(nodes, conns)
-
-
 def evolution_state(evo: Evolution) -> dict:
+    """The run's full state as JSON-ready data; genomes are :func:`cppn.to_text` strings."""
     return {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -520,11 +509,11 @@ def evolution_state(evo: Evolution) -> dict:
         "next_species_id": evo.next_species_id,
         "rng_state": evo.rng.bit_generator.state,
         "registry": evo.registry.state(),
-        "population": [_genome_to_jsonable(g) for g in evo.population],
+        "population": [to_text(g) for g in evo.population],
         "species": [
             {
                 "id": sp.species_id,
-                "representative": _genome_to_jsonable(sp.representative),
+                "representative": to_text(sp.representative),
                 "best_fitness": sp.best_fitness,
                 "stagnation": sp.stagnation,
             }
@@ -534,18 +523,21 @@ def evolution_state(evo: Evolution) -> dict:
 
 
 def evolution_from_state(state: dict, config: EvolutionConfig) -> Evolution:
-    if state.get("format") != CHECKPOINT_MAGIC or state.get("version") != CHECKPOINT_VERSION:
+    if not isinstance(state, dict) or state.get("format") != CHECKPOINT_MAGIC:
         raise ConfigError("not a chartevo checkpoint")
+    if state.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {state.get('version')!r} is not supported "
+                          f"(this chartevo reads version {CHECKPOINT_VERSION})")
     evo = Evolution.__new__(Evolution)
     evo.config = config
     evo.rng = np.random.default_rng()
     evo.rng.bit_generator.state = state["rng_state"]
     evo.registry = InnovationRegistry.from_state(state["registry"])
-    evo.population = [_genome_from_jsonable(g) for g in state["population"]]
+    evo.population = [from_text(g) for g in state["population"]]
     evo.species = [
         Species(
             sp["id"],
-            _genome_from_jsonable(sp["representative"]),
+            from_text(sp["representative"]),
             [],
             float(sp["best_fitness"]),
             int(sp["stagnation"]),
@@ -559,15 +551,33 @@ def evolution_from_state(state: dict, config: EvolutionConfig) -> Evolution:
 
 
 def save_checkpoint(path, evo: Evolution, extra: dict | None = None) -> None:
+    """Write the run state as one JSON document ending in a newline, atomically."""
     state = evolution_state(evo)
     if extra:
         state["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         json.dump(state, fh)
         fh.write("\n")
 
 
 def load_checkpoint(path, config: EvolutionConfig) -> tuple[Evolution, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        state = json.load(fh)
-    return evolution_from_state(state, config), state.get("extra", {})
+    """Read a checkpoint; any malformed content raises :class:`ConfigError`.
+
+    The writer always ends the document with a newline, so a file cut
+    just before it is refused too.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError("no final newline (file truncated?)")
+        state = json.loads(text)
+        evo = evolution_from_state(state, config)
+        extra = state.get("extra", {})
+        if not isinstance(extra, dict):
+            raise TypeError("'extra' is not an object")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except CHECKPOINT_ERRORS as exc:
+        raise ConfigError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    return evo, extra

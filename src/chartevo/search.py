@@ -14,23 +14,17 @@ identical files.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import cppn
 from .evaluator import DatasetTensors, EvalConfig, evaluate_population, fitness, forward_output
-from .neat import (
-    Evolution,
-    EvolutionConfig,
-    load_checkpoint,
-    save_checkpoint,
-    _genome_from_jsonable,
-    _genome_to_jsonable,
-)
+from .neat import CHECKPOINT_ERRORS, Evolution, EvolutionConfig, load_checkpoint, save_checkpoint
 from .substrate import (
     PhenotypeNetwork,
     SubstrateSpec,
@@ -107,7 +101,6 @@ def run_search(
     eval_config: EvalConfig,
     options: SearchOptions = SearchOptions(),
     *,
-    workers: int = 1,
     checkpoint_dir=None,
     resume_from=None,
 ) -> SearchRun:
@@ -130,24 +123,22 @@ def run_search(
         substrate=options.substrate,
         k=eval_config.k,
     )
+    configs = {"evolution": asdict(evolution_config), "eval": asdict(eval_config),
+               "search": asdict(options)}
     if resume_from is not None:
-        evo, extra = load_checkpoint(resume_from, evolution_config)
-        run.history = [_record_from_jsonable(r) for r in extra.get("history", [])]
-        run.champions = [_champion_from_jsonable(c) for c in extra.get("champions", [])]
+        evo = _resume(run, resume_from, evolution_config, configs)
         log.info("resumed run %s at generation %d", run.run_id, evo.generation)
     else:
         evo = Evolution(evolution_config)
 
     total_generations = max(1, evolution_config.generations)
-    zero_streak = 0
+    zero_streak = sum(1 for _ in itertools.takewhile(_matched_nothing, reversed(run.history)))
     for g in range(evo.generation, total_generations):
         nets = [
             express(genome, spec, scaling=options.scaling, activation=options.activation)
             for genome in evo.population
         ]
-        reports = evaluate_population(
-            nets, tensors["training"], train_config, generation=g, workers=workers
-        )
+        reports = evaluate_population(nets, tensors["training"], train_config, generation=g)
         fits = [r.fitness for r in reports]
         best = max(range(len(fits)), key=lambda i: (fits[i], -i))
         run.champions.append(ChampionRecord(g, evo.population[best], reports[best]))
@@ -155,17 +146,6 @@ def run_search(
         validation_fitness = None
         if options.validate_every_generation and "validation" in tensors:
             validation_fitness = fitness(nets[best], tensors["validation"], clean_config).fitness
-
-        if all(f == 0.0 for f in fits):
-            zero_streak += 1
-            if zero_streak == ZERO_FITNESS_PATIENCE:
-                log.warning(
-                    "no organism has matched anything for %d consecutive generations; "
-                    "the corpus may be unmatchable or the penalty too harsh",
-                    zero_streak,
-                )
-        else:
-            zero_streak = 0
 
         stats = evo.advance(fits, reproduce_population=g < total_generations - 1)
         run.history.append(
@@ -185,6 +165,13 @@ def run_search(
             g, record.best_fitness, record.best_match_count, record.mean_fitness,
             record.species_count,
         )
+        zero_streak = zero_streak + 1 if _matched_nothing(record) else 0
+        if zero_streak == ZERO_FITNESS_PATIENCE:
+            log.warning(
+                "no organism has matched anything for %d consecutive generations "
+                "(through generation %d); the corpus may be unmatchable or the penalty too harsh",
+                zero_streak, g,
+            )
         if (
             checkpoint_dir is not None
             and options.checkpoint_every
@@ -193,7 +180,7 @@ def run_search(
         ):
             os.makedirs(checkpoint_dir, exist_ok=True)
             path = os.path.join(checkpoint_dir, f"checkpoint_g{g + 1:04d}.json")
-            save_checkpoint(path, evo, extra=_run_extra(run))
+            save_checkpoint(path, evo, extra=_run_extra(run, configs))
 
     run.selected = _select_pattern(run, spec, tensors, clean_config, options)
     return run
@@ -234,27 +221,16 @@ def _select_pattern(
     return SelectedPattern(chosen.generation, chosen.genome, net, reports)
 
 
-def _record_to_jsonable(record: GenerationRecord) -> dict:
-    return {
-        "generation": record.generation,
-        "best_fitness": record.best_fitness,
-        "mean_fitness": record.mean_fitness,
-        "best_match_count": record.best_match_count,
-        "species_count": record.species_count,
-        "threshold": record.threshold,
-        "validation_fitness": record.validation_fitness,
-    }
-
-
-def _record_from_jsonable(data: dict) -> GenerationRecord:
-    return GenerationRecord(**data)
+def _matched_nothing(record: GenerationRecord) -> bool:
+    """Every organism scored zero: best is the maximum and mean the mean of the scores."""
+    return record.best_fitness == 0.0 and record.mean_fitness == 0.0
 
 
 def _champion_to_jsonable(champ: ChampionRecord) -> dict:
     r = champ.train_report
     return {
         "generation": champ.generation,
-        "genome": _genome_to_jsonable(champ.genome),
+        "genome": cppn.to_text(champ.genome),
         "train_report": [r.k, r.match_count, r.mean_log_return, r.penalty, r.fitness],
     }
 
@@ -262,17 +238,40 @@ def _champion_to_jsonable(champ: ChampionRecord) -> dict:
 def _champion_from_jsonable(data: dict) -> ChampionRecord:
     k, count, mean, pen, fit = data["train_report"]
     return ChampionRecord(
-        data["generation"],
-        _genome_from_jsonable(data["genome"]),
+        int(data["generation"]),
+        cppn.from_text(data["genome"]),
         FitnessReport(int(k), int(count), float(mean), float(pen), float(fit)),
     )
 
 
-def _run_extra(run: SearchRun) -> dict:
+def _run_extra(run: SearchRun, configs: dict) -> dict:
     return {
-        "history": [_record_to_jsonable(r) for r in run.history],
+        "config": configs,
+        "history": [asdict(r) for r in run.history],
         "champions": [_champion_to_jsonable(c) for c in run.champions],
     }
+
+
+def _resume(run: SearchRun, path, evolution_config: EvolutionConfig, configs: dict) -> Evolution:
+    """Load a checkpoint into ``run``; refuse one made under any other configuration."""
+    evo, extra = load_checkpoint(path, evolution_config)
+    try:
+        saved = extra["config"]
+        changed = [
+            (f"{section}.{name}", saved[section][name], value)
+            for section, fields in configs.items()
+            for name, value in fields.items()
+            if saved[section][name] != value
+        ]
+        run.history = [GenerationRecord(**r) for r in extra["history"]]
+        run.champions = [_champion_from_jsonable(c) for c in extra["champions"]]
+    except CHECKPOINT_ERRORS as exc:
+        raise ConfigError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
+    if changed:
+        name, old, new = changed[0]
+        raise ConfigError(f"{path}: checkpoint was made with {name}={old!r}, "
+                          f"this run has {new!r}")
+    return evo
 
 
 HISTORY_COLUMNS = (

@@ -1,7 +1,7 @@
 """Core domain types shared across the pipeline.
 
 Everything here is an immutable value object: construct, validate once,
-then pass around freely (including across worker threads).  Numpy arrays
+then pass around freely.  Numpy arrays
 held by these types are read-only; ``PriceSeries`` copies its closes,
 ``Dataset`` takes ownership of its columns.
 """
@@ -215,14 +215,31 @@ class FitnessReport:
         )
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open ``<path>.<pid>.tmp`` for writing and move it over ``path`` on success.
+
+    If the block raises, the temporary file is removed and any previous
+    file at ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     """Write a Dataset to ``path`` as a compressed npz archive, atomically.
 
     Each column is one member of the archive, stored raw, so the round
     trip is bit-identical; a JSON ``header`` member holds the split, the
-    row count and the horizons.  The archive is written to a temporary
-    file beside ``path`` and then moved over it, so a failed write leaves
-    any previous file in place.
+    row count and the horizons.  The write goes through
+    :func:`atomic_open`, so a failed one leaves any previous file in place.
     """
     header = json.dumps(
         {
@@ -234,19 +251,12 @@ def save_dataset(path, dataset: Dataset) -> None:
         },
         sort_keys=True,
     )
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-                **{name: getattr(dataset, name) for name in COLUMNS},
-            )
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    with atomic_open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
+            **{name: getattr(dataset, name) for name in COLUMNS},
+        )
 
 
 def load_dataset(path) -> Dataset:

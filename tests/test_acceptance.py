@@ -508,7 +508,7 @@ def run_pipeline(root, tag: str) -> None:
     assert main(["preprocess", "--config", str(config_path), "--prices", str(prices),
                  "--out", str(corpus)]) == 0
     assert main(["search", "--config", str(config_path), "--corpus", str(corpus),
-                 "--out", str(run_dir), "--seed", "7", "--workers", "1"]) == 0
+                 "--out", str(run_dir), "--seed", "7"]) == 0
     return run_dir
 
 

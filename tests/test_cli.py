@@ -82,6 +82,13 @@ class TestParser:
         assert exc.value.code == 2
 
 
+    def test_workers_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--corpus", str(tmp_path), "--out", str(tmp_path),
+                  "--workers", "1"])
+        assert exc.value.code == 2
+
+
 class TestDiagnostics:
     def test_missing_corpus_directory(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
@@ -114,6 +121,18 @@ class TestDiagnostics:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "p")])
         assert code == 1
         assert "bogus_knob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["ten", [10], None], ids=["string", "list", "null"])
+    def test_wrong_typed_config_value(self, pipeline, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"evolution": {"population_size": value}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["search", "--config", str(cfg), "--corpus", str(pipeline["corpus"]),
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("chartevo: config section 'evolution'")
 
     def test_garbage_pattern_file(self, pipeline, tmp_path, capsys):
         pattern = tmp_path / "pattern.net"
@@ -232,7 +251,7 @@ def run_dir(pipeline, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     code = main(["search", "--config", str(pipeline["config"]),
                  "--corpus", str(pipeline["corpus"]), "--out", str(out),
-                 "--seed", "5", "--workers", "1"])
+                 "--seed", "5"])
     assert code == 0
     return out
 
@@ -258,7 +277,7 @@ class TestSearchCommand:
         out = tmp_path / "run2"
         code = main(["search", "--config", str(pipeline["config"]),
                      "--corpus", str(pipeline["corpus"]), "--out", str(out),
-                     "--population", "6", "--generations", "2", "--workers", "1"])
+                     "--population", "6", "--generations", "2"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["evolution"]["population_size"] == 6
@@ -273,7 +292,7 @@ class TestSearchCommand:
         out = tmp_path / "run3"
         code = main(["search", "--config", str(pipeline["config"]),
                      "--corpus", str(pipeline["corpus"]), "--out", str(out),
-                     "--generations", "2", "--workers", "1"])
+                     "--generations", "2"])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "pattern,train20,valid20,test20" in stdout
@@ -332,3 +351,72 @@ def test_truncated_pattern_gives_one_error_line(pipeline, run_dir, truncation_di
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")
+
+
+CHECKPOINT_ARGS = ["--seed", "5", "--population", "10", "--substrate", "template",
+                   "--generations", "2"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint(pipeline, tmp_path_factory):
+    """A real checkpoint, made after generation 0 of a two-generation search."""
+    root = tmp_path_factory.mktemp("checkpointed")
+    config = json.loads(pipeline["config"].read_text())
+    config["search"]["checkpoint_every"] = 1
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["search", "--config", str(config_path), "--corpus", str(pipeline["corpus"]),
+                 "--out", str(root / "run"), *CHECKPOINT_ARGS]) == 0
+    return {"config": config_path, "path": root / "run" / "checkpoints" / "checkpoint_g0001.json",
+            "root": root}
+
+
+def _resume(pipeline, checkpoint, path, *args):
+    """Exit code and stderr lines of ``chartevo search --resume path``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["search", "--config", str(checkpoint["config"]),
+                     "--corpus", str(pipeline["corpus"]), "--out", str(checkpoint["root"] / "again"),
+                     *CHECKPOINT_ARGS, *args, "--resume", str(path)])
+    return code, err.getvalue().splitlines()
+
+
+def test_resume_with_same_arguments(pipeline, checkpoint):
+    code, _ = _resume(pipeline, checkpoint, checkpoint["path"])
+    assert code == 0
+    straight = (checkpoint["root"] / "run" / "history.csv").read_bytes()
+    assert (checkpoint["root"] / "again" / "history.csv").read_bytes() == straight
+
+
+@given(data=st.data())
+def test_truncated_checkpoint_gives_one_error_line(pipeline, checkpoint, truncation_dir, data):
+    """A checkpoint cut at any byte ends with exit 1 and one chartevo: line."""
+    text = checkpoint["path"].read_bytes()
+    cut = data.draw(st.integers(0, len(text) - 1), label="cut")
+    path = truncation_dir / "cut.json"
+    path.write_bytes(text[:cut])
+    code, lines = _resume(pipeline, checkpoint, path)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+
+
+def test_version_1_checkpoint_gives_one_error_line(pipeline, checkpoint, tmp_path):
+    state = json.loads(checkpoint["path"].read_text())
+    state["version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(state) + "\n")
+    code, lines = _resume(pipeline, checkpoint, path)
+    assert code == 1
+    assert len(lines) == 1 and "checkpoint version 1 is not supported" in lines[0]
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--population", "30"], "evolution.population_size"),
+    (["--substrate", "network"], "search.substrate"),
+    (["--population", "30", "--substrate", "network"], "evolution.population_size"),
+])
+def test_resume_with_changed_config_gives_one_error_line(pipeline, checkpoint, args, field):
+    code, lines = _resume(pipeline, checkpoint, checkpoint["path"], *args)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert f"checkpoint was made with {field}=" in lines[0]

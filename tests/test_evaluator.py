@@ -137,14 +137,6 @@ class TestForward:
             for i in range(20):
                 assert out[i] == pytest.approx(scalar_forward(net, X[i]), rel=1e-9, abs=1e-12)
 
-    def test_batching_does_not_change_results(self):
-        rng = np.random.default_rng(2)
-        net = random_net(rng)
-        X = rng.normal(size=(17, 4))
-        whole = forward_output(net, X)
-        for batch in (1, 3, 5, 17, 100):
-            assert np.allclose(forward_output(net, X, batch_size=batch), whole, rtol=1e-12)
-
     def test_masks_applied_to_hidden_layers(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
@@ -250,10 +242,8 @@ class TestPrunedForward:
         activation=st.sampled_from(["relu", "sigmoid"]),
         dropout=st.booleans(),
         dead_layer=st.one_of(st.none(), st.integers(0, 2)),
-        batch_size=st.sampled_from([0, 7]),
     )
-    def test_matches_dense_reference(self, seed, n_hidden, activation, dropout,
-                                     dead_layer, batch_size):
+    def test_matches_dense_reference(self, seed, n_hidden, activation, dropout, dead_layer):
         rng = np.random.default_rng(seed)
         net = sparse_net(rng, n_hidden, activation, dead_layer)
         masks = dropout_masks(net, 0.6, rng) if dropout else None
@@ -266,9 +256,9 @@ class TestPrunedForward:
         tensors = DatasetTensors("training", 5, X, np.zeros(40), limit)
 
         reference = dense_forward(net, X, masks)
-        out = forward_output(net, X, masks, batch_size)
+        out = forward_output(net, X, masks)
         np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
-        flags = match_flags(net, tensors, masks, batch_size)
+        flags = match_flags(net, tensors, masks)
         assert np.array_equal(flags, (reference > 0.0) & ~limit)
         after = (X, *net.weights, *net.biases, *(masks or ()))
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
@@ -382,14 +372,6 @@ class TestEvaluatePopulation:
     def _population(self, n=6):
         rng = np.random.default_rng(12)
         return [random_net(rng) for _ in range(n)]
-
-    def test_parallel_equals_sequential(self):
-        nets = self._population()
-        data = random_dataset(np.random.default_rng(13), 50)
-        config = EvalConfig(k=5, alpha=100.0, rng_seed=3)
-        seq = evaluate_population(nets, data, config, generation=2, workers=1)
-        par = evaluate_population(nets, data, config, generation=2, workers=3)
-        assert seq == par
 
     def test_dropout_off_equals_plain_fitness(self):
         nets = self._population()

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartevo.cppn import ConnectionGene, CppnGenome, NodeGene, minimal_genome
+from chartevo.cppn import ConnectionGene, CppnGenome, NodeGene, minimal_genome, to_text
 from chartevo.neat import (
     Evolution,
     EvolutionConfig,
@@ -512,6 +513,60 @@ class TestCheckpoint:
         path.write_text('{"format": "other"}')
         with pytest.raises(ConfigError):
             load_checkpoint(path, quiet_config())
+
+    def _saved(self, tmp_path):
+        evo = Evolution(quiet_config(population_size=6, rng_seed=23))
+        evo.advance([0.0] * 6)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, evo)
+        return evo, path
+
+    def test_genomes_stored_as_genome_text(self, tmp_path):
+        evo, path = self._saved(tmp_path)
+        state = json.loads(path.read_text())
+        assert state["population"] == [to_text(g) for g in evo.population]
+        assert [sp["representative"] for sp in state["species"]] == [
+            to_text(sp.representative) for sp in evo.species
+        ]
+
+    def test_version_1_refused(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        state = json.loads(path.read_text())
+        state["version"] = 1
+        path.write_text(json.dumps(state) + "\n")
+        with pytest.raises(ConfigError, match="version 1 is not supported"):
+            load_checkpoint(path, quiet_config())
+
+    @pytest.mark.parametrize("mangle", [
+        lambda s: s.pop("registry"),
+        lambda s: s.__setitem__("population", ["chartevo-cppn 1\nnode 0 input\n"]),
+        lambda s: s.__setitem__("species", [{"id": 0}]),
+        lambda s: s.__setitem__("threshold", "high"),
+        lambda s: s.__setitem__("rng_state", 5),
+        lambda s: s.__setitem__("extra", []),
+    ], ids=["no-registry", "bad-genome", "short-species", "bad-threshold", "bad-rng",
+            "extra-list"])
+    def test_malformed_content_is_config_error(self, tmp_path, mangle):
+        _, path = self._saved(tmp_path)
+        state = json.loads(path.read_text())
+        mangle(state)
+        path.write_text(json.dumps(state) + "\n")
+        with pytest.raises(ConfigError, match="ckpt.json"):
+            load_checkpoint(path, quiet_config())
+
+    def test_missing_final_newline_refused(self, tmp_path):
+        _, path = self._saved(tmp_path)
+        path.write_text(path.read_text().rstrip("\n"))
+        with pytest.raises(ConfigError, match="final newline"):
+            load_checkpoint(path, quiet_config())
+
+    def test_failed_dump_leaves_no_checkpoint_and_no_temp_file(self, tmp_path):
+        evo = Evolution(quiet_config(population_size=6, rng_seed=24))
+        path = tmp_path / "ckpt.json"
+        # json.dump writes the state's chunks before it reaches the unserializable value
+        with pytest.raises(TypeError):
+            save_checkpoint(path, evo, extra={"unserializable": object()})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigValidation:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime
+import json
 import logging
 import math
 import os
@@ -109,16 +111,6 @@ class TestRunSearchBehavior:
             ))
         assert outputs[0] == outputs[1]
 
-    def test_worker_count_does_not_change_results(self):
-        evc, evalc = small_configs(generations=3, population=8)
-        runs = [
-            run_search(make_corpus(), evc, evalc, SearchOptions(substrate="network"),
-                       workers=w)
-            for w in (1, 3)
-        ]
-        assert history_table(runs[0]) == history_table(runs[1])
-        assert results_row(runs[0]) == results_row(runs[1])
-
     def test_test_split_scored_exactly_once(self, monkeypatch):
         import chartevo.search as search_mod
         calls = {"test": 0}
@@ -181,6 +173,49 @@ class TestCheckpointResume:
         assert history_table(resumed) == history_table(straight)
         assert cppn.to_text(resumed.selected.genome) == cppn.to_text(straight.selected.genome)
         assert results_row(resumed) == results_row(straight)
+
+    def test_resume_keeps_zero_fitness_streak(self, tmp_path, caplog):
+        corpus = make_corpus(limit_all=True)
+        evc, evalc = small_configs(generations=23, population=6)
+        options = SearchOptions(substrate="template", checkpoint_every=10)
+        with caplog.at_level(logging.WARNING, logger="chartevo.search"):
+            run_search(corpus, evc, evalc, options, checkpoint_dir=tmp_path)
+        straight = [m for m in caplog.messages if "consecutive generations" in m]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="chartevo.search"):
+            run_search(corpus, evc, evalc, options,
+                       resume_from=tmp_path / "checkpoint_g0010.json")
+        resumed = [m for m in caplog.messages if "consecutive generations" in m]
+        assert len(straight) == 1 and "through generation 19" in straight[0]
+        assert resumed == straight
+
+    @pytest.mark.parametrize("change, field", [
+        ({"evolution": {"population_size": 12}}, "evolution.population_size"),
+        ({"search": {"substrate": "network"}}, "search.substrate"),
+        ({"eval": {"rng_seed": 99}}, "eval.rng_seed"),
+    ])
+    def test_resume_refuses_changed_config(self, tmp_path, change, field):
+        evc, evalc = small_configs(generations=4, population=10)
+        options = SearchOptions(substrate="template", checkpoint_every=2)
+        run_search(make_corpus(), evc, evalc, options, checkpoint_dir=tmp_path)
+        evc = dataclasses.replace(evc, **change.get("evolution", {}))
+        evalc = dataclasses.replace(evalc, **change.get("eval", {}))
+        options = dataclasses.replace(options, **change.get("search", {}))
+        with pytest.raises(ConfigError, match=f"made with {field}="):
+            run_search(make_corpus(), evc, evalc, options,
+                       resume_from=tmp_path / "checkpoint_g0002.json")
+
+    @pytest.mark.parametrize("drop", ["config", "history", "champions"])
+    def test_resume_refuses_incomplete_extra(self, tmp_path, drop):
+        evc, evalc = small_configs(generations=4, population=6)
+        options = SearchOptions(substrate="template", checkpoint_every=2)
+        run_search(make_corpus(), evc, evalc, options, checkpoint_dir=tmp_path)
+        path = tmp_path / "checkpoint_g0002.json"
+        state = json.loads(path.read_text())
+        del state["extra"][drop]
+        path.write_text(json.dumps(state) + "\n")
+        with pytest.raises(ConfigError, match="malformed checkpoint"):
+            run_search(make_corpus(), evc, evalc, options, resume_from=path)
 
     def test_checkpoint_cadence(self, tmp_path):
         evc, evalc = small_configs(generations=5, population=6)
