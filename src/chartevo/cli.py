@@ -83,6 +83,19 @@ def _load_config_file(path) -> dict:
     return data
 
 
+def _config_sections(path, *names) -> list[dict]:
+    """Copies of the named sections of the config file; a missing one is empty."""
+    data = _load_config_file(path)
+    sections = []
+    for name in names:
+        section = data.get(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be an object, "
+                              f"got {type(section).__name__}")
+        sections.append(dict(section))
+    return sections
+
+
 def _build_config(cls, name: str, section: dict, overrides: dict):
     """Merge config-file section ``name`` and CLI overrides onto dataclass defaults."""
     valid = {f.name for f in dataclasses.fields(cls)}
@@ -100,23 +113,34 @@ def _build_config(cls, name: str, section: dict, overrides: dict):
 def _parse_date(value) -> datetime.date:
     if isinstance(value, datetime.date):
         return value
-    return datetime.date.fromisoformat(value)
+    try:
+        return datetime.date.fromisoformat(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad date {value!r}, expected YYYY-MM-DD") from exc
 
 
 def _convert_preprocess_section(section: dict) -> dict:
-    section = dict(section)
     if "horizons" in section:
-        section["horizons"] = tuple(int(k) for k in section["horizons"])
+        try:
+            section["horizons"] = tuple(int(k) for k in section["horizons"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"preprocess.horizons must be a list of integers ({exc})") from exc
     if "split_ranges" in section:
+        ranges = section["split_ranges"]
+        if not isinstance(ranges, dict):
+            raise ConfigError("preprocess.split_ranges must map split names to [start, end]")
+        for name, span in ranges.items():
+            if not isinstance(span, list) or len(span) != 2:
+                raise ConfigError(f"preprocess.split_ranges.{name} must be [start, end], "
+                                  f"got {span!r}")
         section["split_ranges"] = {
-            name: SplitRange(_parse_date(span[0]), _parse_date(span[1]))
-            for name, span in section["split_ranges"].items()
+            name: SplitRange(_parse_date(start), _parse_date(end))
+            for name, (start, end) in ranges.items()
         }
     return section
 
 
 def _convert_synth_section(section: dict) -> dict:
-    section = dict(section)
     if "start_date" in section:
         section["start_date"] = _parse_date(section["start_date"])
     return section
@@ -173,7 +197,8 @@ def load_corpus(directory, splits=SPLIT_NAMES) -> dict[str, Dataset]:
 
 
 def _cmd_synth(args) -> int:
-    section = _convert_synth_section(_load_config_file(args.config).get("synth", {}))
+    (section,) = _config_sections(args.config, "synth")
+    section = _convert_synth_section(section)
     overrides = {
         "n_instruments": args.instruments,
         "n_days": args.days,
@@ -194,7 +219,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    section = _convert_preprocess_section(_load_config_file(args.config).get("preprocess", {}))
+    (section,) = _config_sections(args.config, "preprocess")
+    section = _convert_preprocess_section(section)
     config = _build_config(PreprocessConfig, "preprocess", section, {})
     series_list = load_price_directory(args.prices)
     corpus = build_corpus(series_list, config)
@@ -207,10 +233,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions]:
-    file_cfg = _load_config_file(args.config)
-    evolution_section = dict(file_cfg.get("evolution", {}))
-    eval_section = dict(file_cfg.get("eval", {}))
-    search_section = dict(file_cfg.get("search", {}))
+    evolution_section, eval_section, search_section = _config_sections(
+        args.config, "evolution", "eval", "search")
 
     evolution_overrides = {
         "population_size": args.population,

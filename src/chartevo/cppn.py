@@ -9,8 +9,8 @@ mutation and crossover (in the neat module) build new ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -107,9 +107,19 @@ class CppnGenome:
             pairs.add((c.src, c.dst))
         object.__setattr__(self, "_order", _topological_order(nodes, conns))
 
-    @property
-    def node_ids(self) -> frozenset[int]:
-        return frozenset(n.id for n in self.nodes)
+    @classmethod
+    def _reweighted(cls, parent: CppnGenome, connections: tuple[ConnectionGene, ...]) -> CppnGenome:
+        """``parent``'s structure with new weights and enable flags, unchecked.
+
+        ``connections`` must hold exactly ``parent``'s (innovation, src,
+        dst) sequence, so the parent's nodes, checks and cached order all
+        still hold; only mutation and crossover build genomes this way.
+        """
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "nodes", parent.nodes)
+        object.__setattr__(genome, "connections", connections)
+        object.__setattr__(genome, "_order", parent._order)
+        return genome
 
     def topological_order(self) -> tuple[int, ...]:
         """Node ids in dependency order (inputs first); cached at construction."""
@@ -121,9 +131,6 @@ class CppnGenome:
             tuple((n.id, n.role, n.activation) for n in self.nodes),
             tuple((c.innovation, c.src, c.dst, c.weight, c.enabled) for c in self.connections),
         )
-
-    def with_connections(self, connections: Iterable[ConnectionGene]) -> CppnGenome:
-        return replace(self, connections=tuple(connections))
 
 
 def _topological_order(nodes: tuple[NodeGene, ...], conns: tuple[ConnectionGene, ...]) -> tuple[int, ...]:
@@ -152,14 +159,23 @@ def _topological_order(nodes: tuple[NodeGene, ...], conns: tuple[ConnectionGene,
     return tuple(order)
 
 
-def would_create_cycle(genome: CppnGenome, src: int, dst: int) -> bool:
-    """True if adding src -> dst would close a directed cycle."""
-    if src == dst:
-        return True
-    # DFS from dst over all connections; a path back to src means a cycle
+def adjacency(genome: CppnGenome) -> dict[int, list[int]]:
+    """Targets of every connection, enabled or not, keyed by source node."""
     outgoing: dict[int, list[int]] = {}
     for c in genome.connections:
         outgoing.setdefault(c.src, []).append(c.dst)
+    return outgoing
+
+
+def would_create_cycle(outgoing: Mapping[int, list[int]], src: int, dst: int) -> bool:
+    """True if adding src -> dst would close a directed cycle.
+
+    ``outgoing`` is the genome's :func:`adjacency`, built once by callers
+    that check many pairs of one genome.
+    """
+    if src == dst:
+        return True
+    # DFS from dst over all connections; a path back to src means a cycle
     stack = [dst]
     seen = set()
     while stack:
@@ -206,47 +222,6 @@ def activate_batch(genome: CppnGenome, inputs: np.ndarray) -> np.ndarray:
     return np.stack([values[WEIGHT_OUTPUT], values[BIAS_OUTPUT], values[LEO_OUTPUT]], axis=1)
 
 
-def activate(genome: CppnGenome, inputs: Iterable[float]) -> tuple[float, float, float]:
-    row = np.asarray(tuple(inputs), dtype=np.float64).reshape(1, N_INPUTS)
-    w, b, leo = activate_batch(genome, row)[0]
-    return float(w), float(b), float(leo)
-
-
-def query_connection_batch(
-    genome: CppnGenome, coords_a: np.ndarray, coords_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and gate outputs for pairs of 3-d substrate coordinates."""
-    coords_a = np.asarray(coords_a, dtype=np.float64)
-    coords_b = np.asarray(coords_b, dtype=np.float64)
-    if coords_a.shape != coords_b.shape or coords_a.ndim != 2 or coords_a.shape[1] != 3:
-        raise ValueError("coordinate batches must both have shape (n, 3)")
-    n = coords_a.shape[0]
-    inputs = np.concatenate([coords_a, coords_b, np.ones((n, 1))], axis=1)
-    out = activate_batch(genome, inputs)
-    return out[:, 0], out[:, 2]
-
-
-def query_bias_batch(genome: CppnGenome, coords: np.ndarray) -> np.ndarray:
-    """Bias output for nodes at ``coords``; the partner slot is zero-filled."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise ValueError("coordinate batch must have shape (n, 3)")
-    n = coords.shape[0]
-    inputs = np.concatenate([coords, np.zeros((n, 3)), np.ones((n, 1))], axis=1)
-    return activate_batch(genome, inputs)[:, 1]
-
-
-def query_connection(genome: CppnGenome, coord_a, coord_b) -> tuple[float, float]:
-    w, leo = query_connection_batch(
-        genome, np.asarray(coord_a).reshape(1, 3), np.asarray(coord_b).reshape(1, 3)
-    )
-    return float(w[0]), float(leo[0])
-
-
-def query_bias(genome: CppnGenome, coord) -> float:
-    return float(query_bias_batch(genome, np.asarray(coord).reshape(1, 3))[0])
-
-
 def clamp_weight(weight: float) -> float:
     return min(WEIGHT_LIMIT, max(-WEIGHT_LIMIT, weight))
 
@@ -283,6 +258,11 @@ def to_text(genome: CppnGenome) -> str:
 
 
 def from_text(text: str) -> CppnGenome:
+    """Parse a document written by :func:`to_text`; every check of the
+    constructor runs.  The writer always ends with a newline, so a
+    document cut inside its last line is refused."""
+    if not text.endswith("\n"):
+        raise ValueError("document is truncated (no final newline)")
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].split() != [GENOME_MAGIC, str(GENOME_VERSION)]:
         raise ValueError(f"not a {GENOME_MAGIC} version {GENOME_VERSION} document")

@@ -13,6 +13,15 @@ are zeroed with probability 1 - retain and survivors rescaled by
 1 / retain, one fixed mask per organism per evaluation pass, drawn from
 a stream keyed by (seed, generation, organism index) so results do not
 depend on evaluation order.
+
+A population is scored in two ways at once.  Networks without a hidden
+layer (nothing to mask) are stacked, ``STACK_BLOCK`` at a time, into one
+matrix product over all charts; the others run the pruned per-network
+forward pass with their dropout masks.  Either way each network's match
+count and mean return are reduced on their own, as :func:`fitness` does.
+The stacked product may sum a network's terms in another order than
+:func:`fitness`'s ``X @ w``, so the two agree up to summation order: only
+an output within a few ulps of zero can fall on the other side.
 """
 from __future__ import annotations
 
@@ -27,6 +36,10 @@ from .substrate import PhenotypeNetwork
 from .types import ConfigError, Dataset, FitnessReport
 
 log = logging.getLogger(__name__)
+
+# networks per stacked product in evaluate_population: a (STACK_BLOCK, n)
+# float64 output buffer, reused block to block, bounds the extra memory
+STACK_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -195,7 +208,11 @@ def fitness(
 ) -> FitnessReport:
     """Score one network on one split."""
     tensors = _as_tensors(data, config.k)
-    flags = match_flags(net, tensors, masks)
+    return _report(match_flags(net, tensors, masks), tensors, config)
+
+
+def _report(flags: np.ndarray, tensors: DatasetTensors, config: EvalConfig) -> FitnessReport:
+    """Fitness of one network from its match flags, summed in row order."""
     count = int(flags.sum())
     mean_return = float(tensors.returns[flags].sum() / count) if count else 0.0
     return FitnessReport.from_stats(config.k, count, mean_return, penalty(count, config.alpha))
@@ -209,16 +226,42 @@ def evaluate_population(
 ) -> list[FitnessReport]:
     """Score a whole generation; results line up with ``nets`` by index.
 
-    With dropout enabled each organism gets its own mask stream keyed by
-    (generation, index), so no report depends on which others are scored.
+    Networks with no hidden layer are scored ``STACK_BLOCK`` at a time:
+    one matrix product of their stacked weights with all charts, plus
+    biases, then the sign test and the limit-hit veto.  No dropout stream
+    is drawn for them, since there is nothing to mask.  Every other
+    network runs :func:`fitness` with, when dropout is enabled, its own
+    mask stream keyed by (generation, index), so no report depends on
+    which others are scored.
+
+    Flags, and so reports, equal per-network :func:`fitness` up to
+    summation order: the stacked product adds each network's terms in
+    its own order, so an output within a few ulps of zero can take the
+    other sign.  The reduction from flags to a report is the same.
     """
     tensors = _as_tensors(data, config.k)
-
-    def score(index: int) -> FitnessReport:
-        masks = None
-        if config.dropout_enabled:
-            rng = dropout_rng(config.rng_seed, generation, index)
-            masks = dropout_masks(nets[index], config.dropout_retain, rng)
-        return fitness(nets[index], tensors, config, masks)
-
-    return [score(i) for i in range(len(nets))]
+    reports: list[FitnessReport | None] = [None] * len(nets)
+    flat = [i for i, net in enumerate(nets) if net.n_hidden_layers == 0]
+    if flat:
+        XT = tensors.X.T
+        tradeable = ~tensors.limit_hit
+        out = np.empty((min(STACK_BLOCK, len(flat)), len(tensors)))
+        for start in range(0, len(flat), STACK_BLOCK):
+            block = flat[start:start + STACK_BLOCK]
+            W = np.concatenate([nets[i].weights[0] for i in block], axis=1)
+            b = np.concatenate([nets[i].biases[0] for i in block])
+            pre = out[:len(block)]
+            np.matmul(W.T, XT, out=pre)
+            pre += b[:, None]
+            flags = pre > 0.0
+            flags &= tradeable
+            for i, row in zip(block, flags):
+                reports[i] = _report(row, tensors, config)
+    for i, net in enumerate(nets):
+        if net.n_hidden_layers:
+            masks = None
+            if config.dropout_enabled:
+                rng = dropout_rng(config.rng_seed, generation, i)
+                masks = dropout_masks(net, config.dropout_retain, rng)
+            reports[i] = fitness(net, tensors, config, masks)
+    return reports

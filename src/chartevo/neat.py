@@ -33,6 +33,7 @@ from .cppn import (
     N_INITIAL_CONNECTIONS,
     OUTPUT_IDS,
     WEIGHT_LIMIT,
+    adjacency,
     clamp_weight,
     from_text,
     minimal_genome,
@@ -283,7 +284,7 @@ def mutate(
     weight-1.0 in and old-weight out, disabling the original.
     """
     rates = decayed_rates(config, generation)
-    changed = False
+    changed = structural = False
     conns = list(genome.connections)
     for i, c in enumerate(conns):
         if rng.random() < rates["weight_mutation_rate"]:
@@ -299,18 +300,19 @@ def mutate(
         present = {(c.src, c.dst) for c in conns}
         sources = sorted(n.id for n in nodes if n.role != "output")
         targets = sorted(n.id for n in nodes if n.role != "input")
-        candidate_genome = genome.with_connections(conns) if changed else genome
+        # weight events leave the structure alone, so the parent's links serve
+        outgoing = adjacency(genome)
         candidates = [
             (src, dst)
             for src in sources
             for dst in targets
-            if (src, dst) not in present and not would_create_cycle(candidate_genome, src, dst)
+            if (src, dst) not in present and not would_create_cycle(outgoing, src, dst)
         ]
         if candidates:
             src, dst = candidates[int(rng.integers(len(candidates)))]
             innovation = registry.connection_innovation(src, dst)
             conns.append(ConnectionGene(innovation, src, dst, float(rng.uniform(-1.0, 1.0)), True))
-            changed = True
+            changed = structural = True
     if rng.random() < rates["add_node_rate"]:
         enabled = [i for i, c in enumerate(conns) if c.enabled]
         if enabled:
@@ -322,9 +324,11 @@ def mutate(
             conns[pick] = ConnectionGene(old.innovation, old.src, old.dst, old.weight, False)
             conns.append(ConnectionGene(in_innov, old.src, node_id, 1.0, True))
             conns.append(ConnectionGene(out_innov, node_id, old.dst, old.weight, True))
-            changed = True
+            changed = structural = True
     if not changed:
         return genome
+    if not structural:
+        return CppnGenome._reweighted(genome, tuple(conns))
     return CppnGenome(tuple(nodes), tuple(conns))
 
 
@@ -362,7 +366,7 @@ def crossover(
             disabled_somewhere = not (gene.enabled and partner.enabled)
         enabled = True if not disabled_somewhere else bool(rng.random() >= 0.75)
         child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst, chosen.weight, enabled))
-    return CppnGenome(fitter.nodes, tuple(child_conns))
+    return CppnGenome._reweighted(fitter, tuple(child_conns))
 
 
 def reproduce(

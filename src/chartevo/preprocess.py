@@ -48,9 +48,6 @@ class SplitRange:
         if self.end < self.start:
             raise ConfigError(f"split range ends before it starts: {self}")
 
-    def __contains__(self, day: datetime.date) -> bool:
-        return self.start <= day <= self.end
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -276,10 +273,16 @@ def load_price_directory(directory) -> list[PriceSeries]:
         raise ConfigError(f"{directory}: missing instrument index ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{index_path}: corrupt instrument index ({exc})") from exc
-    if index.get("format") != PRICES_MAGIC:
+    if not isinstance(index, dict) or index.get("format") != PRICES_MAGIC:
         raise ConfigError(f"{index_path}: not a {PRICES_MAGIC} index")
+    entries = index.get("instruments", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{index_path}: 'instruments' must be a list")
     series_set = []
-    for entry in index.get("instruments", []):
+    for n, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("file"), str)):
+            raise ConfigError(f"{index_path}: instrument {n} needs a string 'id' and 'file'")
         path = os.path.join(directory, entry["file"])
         series_set.append(read_price_csv(path, entry["id"]))
     return series_set

@@ -4,7 +4,8 @@ A substrate is a stack of 2-d node grids placed at evenly spaced depths
 in [-1, 1].  Nodes connect only to the next layer.  Each candidate link
 (a, b) is assigned the CPPN's weight output at the coordinate pair, but
 only where the gate output is positive; node biases come from a second
-query with the partner coordinate zeroed.  Expressed weights can then be
+kind of query with the partner coordinate zeroed.  Both kinds go to the
+CPPN as one batch per genome.  Expressed weights can then be
 rescaled per target node to keep forward variance in check.
 """
 from __future__ import annotations
@@ -77,19 +78,24 @@ class SubstrateSpec:
         return self.layers[index].coordinates(self.depths[index])
 
     @cached_property
-    def queries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per adjacent-layer pair: source and target coordinates of every
-        candidate link, row-major over (source, target), and the target
-        layer's coordinates.  Built once; the same for every genome."""
+    def query_inputs(self) -> np.ndarray:
+        """CPPN input rows for expressing one genome, read-only; built once.
+
+        For each adjacent-layer pair, every candidate link (source
+        coordinates, target coordinates, 1), row-major over (source,
+        target); then, layer by layer, every non-input node (its
+        coordinates, a zero partner slot, 1).
+        """
         coords = [self.layer_coordinates(i) for i in range(len(self.layers))]
-        out = []
-        for coords_a, coords_b in zip(coords, coords[1:]):
-            pair_a = np.repeat(coords_a, len(coords_b), axis=0)
-            pair_b = np.tile(coords_b, (len(coords_a), 1))
-            for arr in (pair_a, pair_b, coords_b):
-                arr.setflags(write=False)
-            out.append((pair_a, pair_b, coords_b))
-        return tuple(out)
+        links = [
+            np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+            for a, b in zip(coords, coords[1:])
+        ]
+        nodes = [np.concatenate([b, np.zeros_like(b)], axis=1) for b in coords[1:]]
+        rows = np.concatenate(links + nodes)
+        out = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
+        out.setflags(write=False)
+        return out
 
 
 def standard_substrates() -> dict[str, SubstrateSpec]:
@@ -170,17 +176,23 @@ def express(
     """Query the genome over every adjacent-layer pair and bias coordinate."""
     if scaling not in ("he", "none"):
         raise ConfigError(f"unsupported scaling {scaling!r}")
+    # one CPPN pass over every link query, then every bias query
+    out = cppn.activate_batch(genome, spec.query_inputs)
+    sizes = spec.layer_sizes
     weights = []
     biases = []
-    for pair_a, pair_b, coords_b in spec.queries:
-        raw, gate = cppn.query_connection_batch(genome, pair_a, pair_b)
-        shape = (-1, len(coords_b))
-        expressed = (gate > 0.0).reshape(shape)
-        w = np.where(expressed, raw.reshape(shape), 0.0)
+    link_row = 0
+    bias_row = sum(n_a * n_b for n_a, n_b in zip(sizes, sizes[1:]))
+    for n_a, n_b in zip(sizes, sizes[1:]):
+        rows = slice(link_row, link_row + n_a * n_b)
+        link_row += n_a * n_b
+        expressed = (out[rows, 2] > 0.0).reshape(n_a, n_b)
+        w = np.where(expressed, out[rows, 0].reshape(n_a, n_b), 0.0)
         if scaling == "he":
             w = he_scale(w, expressed)
         weights.append(w)
-        biases.append(cppn.query_bias_batch(genome, coords_b))
+        biases.append(out[bias_row:bias_row + n_b, 1])
+        bias_row += n_b
     return PhenotypeNetwork(tuple(weights), tuple(biases), activation)
 
 

@@ -65,15 +65,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def index_of(self, day: datetime.date) -> int:
-        """Position of ``day`` in this series; raises KeyError if absent."""
-        try:
-            return self._date_index[day]
-        except AttributeError:
-            index = {d: i for i, d in enumerate(self.dates)}
-            object.__setattr__(self, "_date_index", index)
-            return index[day]
-
 
 # the per-chart columns of a Dataset, in field order, with their dtypes;
 # each is one member of the corpus .npz archive
@@ -197,23 +188,6 @@ class FitnessReport:
         ]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> FitnessReport:
-        fields: dict[str, str] = {}
-        lines = text.strip().splitlines()
-        if not lines or lines[0].split() != ["chartevo-fitness", "1"]:
-            raise ValueError("not a chartevo-fitness document")
-        for line in lines[1:]:
-            key, value = line.split(maxsplit=1)
-            fields[key] = value
-        return cls(
-            k=int(fields["k"]),
-            match_count=int(fields["match_count"]),
-            mean_log_return=float(fields["mean_log_return"]),
-            penalty=float(fields["penalty"]),
-            fitness=float(fields["fitness"]),
-        )
-
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str, **kwargs):
@@ -324,6 +298,11 @@ def read_price_csv(path, instrument_id: str) -> PriceSeries:
                 date_part, close_part = line.split(",")
                 dates.append(datetime.date.fromisoformat(date_part.strip()))
                 closes.append(float(close_part))
+                if not math.isfinite(closes[-1]):
+                    raise ValueError("close is not finite")
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad price row {line!r}") from exc
-    return PriceSeries(instrument_id, tuple(dates), np.array(closes, dtype=np.float64))
+    try:
+        return PriceSeries(instrument_id, tuple(dates), np.array(closes, dtype=np.float64))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -351,6 +352,104 @@ def test_truncated_pattern_gives_one_error_line(pipeline, run_dir, truncation_di
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")
+
+
+@given(data=st.data())
+def test_truncated_genome_gives_one_error_line(pipeline, run_dir, truncation_dir, data):
+    """A pattern.cppn cut at any byte not just after a newline ends with exit 1
+    and one chartevo: line (a cut at a line boundary still parses)."""
+    text = (run_dir / "pattern.cppn").read_bytes()
+    cut = data.draw(st.integers(0, len(text) - 1).filter(lambda c: not text[:c].endswith(b"\n")),
+                    label="cut")
+    pattern = truncation_dir / "cut.cppn"
+    pattern.write_bytes(text[:cut])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--corpus", str(pipeline["corpus"]), "--pattern", str(pattern),
+                     "--substrate", "template", "--split", "validation", "--k", "20"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")
+
+
+def _first_price_csv(prices):
+    index = json.loads((prices / "instruments.json").read_text())
+    return prices / index["instruments"][0]["file"]
+
+
+def _edit_price_rows(edit):
+    def damage(prices, config):
+        path = _first_price_csv(prices)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+def _swap_days(lines):
+    lines[5], lines[6] = lines[6], lines[5]
+
+
+def _set_close(value):
+    def edit(lines):
+        lines[5] = f"{lines[5].split(',')[0]},{value}"
+    return edit
+
+
+def _edit_index(edit):
+    def damage(prices, config):
+        index = json.loads((prices / "instruments.json").read_text())
+        edit(index)
+        (prices / "instruments.json").write_text(json.dumps(index))
+    return damage
+
+
+def _set_config(section, key, value):
+    def damage(prices, config):
+        target = config if section is None else config[section]
+        target[key] = value
+    return damage
+
+
+# case -> (command, damage to a copy of the pipeline's price directory and config)
+MALFORMED_INPUTS = {
+    "price index is a list": ("preprocess", lambda p, c: (p / "instruments.json").write_text("[]\n")),
+    "index entry without file": ("preprocess", _edit_index(lambda i: i["instruments"][0].pop("file"))),
+    "index entry without id": ("preprocess", _edit_index(lambda i: i["instruments"][0].pop("id"))),
+    "instruments is an object": ("preprocess", _edit_index(lambda i: i.update(instruments={}))),
+    "swapped days": ("preprocess", _edit_price_rows(_swap_days)),
+    "negative close": ("preprocess", _edit_price_rows(_set_close("-1.5"))),
+    "nan close": ("preprocess", _edit_price_rows(_set_close("nan"))),
+    "inf close": ("preprocess", _edit_price_rows(_set_close("inf"))),
+    "training range with a bad date": (
+        "preprocess", lambda p, c: c["preprocess"]["split_ranges"].update(training=["2012-13-01", "2012-12-31"])),
+    "horizons are not integers": ("preprocess", _set_config("preprocess", "horizons", ["x"])),
+    "training range with one date": (
+        "preprocess", lambda p, c: c["preprocess"]["split_ranges"].update(training=["2012-01-01"])),
+    "split_ranges is a number": ("preprocess", _set_config("preprocess", "split_ranges", 5)),
+    "evolution section is a list": ("search", _set_config(None, "evolution", [])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_gives_one_error_line(pipeline, tmp_path, case):
+    command, damage = MALFORMED_INPUTS[case]
+    prices = tmp_path / "prices"
+    shutil.copytree(pipeline["prices"], prices)
+    config = json.loads(pipeline["config"].read_text())
+    damage(prices, config)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    if command == "preprocess":
+        argv = ["preprocess", "--prices", str(prices), "--out", str(tmp_path / "corpus")]
+    else:
+        argv = ["search", "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "run")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", str(config_path)])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
 
 
 CHECKPOINT_ARGS = ["--seed", "5", "--population", "10", "--substrate", "template",

@@ -12,15 +12,13 @@ from chartevo.cppn import (
     ConnectionGene,
     CppnGenome,
     NodeGene,
-    activate,
     activate_batch,
     from_text,
     minimal_genome,
-    query_bias,
-    query_connection,
     to_text,
     would_create_cycle,
 )
+from chartevo.substrate import Grid, SubstrateSpec
 
 
 def base_nodes():
@@ -32,6 +30,27 @@ def base_nodes():
 def genome_with(conns, hidden=()):
     nodes = base_nodes() + list(hidden)
     return CppnGenome(tuple(nodes), tuple(conns))
+
+
+def activate(genome, inputs):
+    """(weight, bias, leo) for one input row, through a one-row batch."""
+    w, b, leo = activate_batch(genome, np.asarray(inputs, dtype=np.float64).reshape(1, 7))[0]
+    return float(w), float(b), float(leo)
+
+
+# depths -1, -0.5, 0, 0.5, 1: nodes at (0.5, 0, 0) and at (0.5, 0.5, 0.5)
+BIAS_SPEC = SubstrateSpec("bias", (Grid(1, 1), Grid(1, 1), Grid(5, 5), Grid(5, 5), Grid(1, 1)))
+
+
+def query_bias(genome, coord):
+    """Bias output for the node at ``coord``, read off the substrate's query array."""
+    inputs = BIAS_SPEC.query_inputs
+    sizes = BIAS_SPEC.layer_sizes
+    n_links = sum(n_a * n_b for n_a, n_b in zip(sizes, sizes[1:]))
+    rows = n_links + np.flatnonzero((inputs[n_links:, :3] == coord).all(axis=1))
+    assert len(rows) == 1
+    assert inputs[rows[0], 3:].tolist() == [0.0, 0.0, 0.0, 1.0]
+    return float(activate_batch(genome, inputs)[rows[0], 1])
 
 
 def random_genome(rng, n_mutations=8):
@@ -163,7 +182,7 @@ class TestActivate:
             ConnectionGene(0, 3, 7, 1.0, True),
             ConnectionGene(1, 0, 7, -1.0, True),
         ])
-        w, leo = query_connection(g, (-1.0, 0, 0), (1.0, 0, 0))
+        w, _, leo = activate(g, [-1.0, 0, 0, 1.0, 0, 0, 1.0])
         assert w == 2.0
 
     def test_hidden_activation_applied(self):
@@ -204,7 +223,7 @@ class TestAgainstRecursiveOracle:
     def test_disabled_equals_removed(self, seed):
         rng = np.random.default_rng(seed)
         g = random_genome(rng, n_mutations=10)
-        stripped = g.with_connections([c for c in g.connections if c.enabled])
+        stripped = CppnGenome(g.nodes, tuple(c for c in g.connections if c.enabled))
         inputs = rng.uniform(-1, 1, (4, 7))
         assert np.array_equal(activate_batch(g, inputs), activate_batch(stripped, inputs))
 
@@ -220,7 +239,7 @@ class TestQueries:
 
     def test_constant_input_slot(self):
         g = genome_with([ConnectionGene(0, 6, 9, 2.0, True)])
-        _, leo = query_connection(g, (0, 0, 0), (0, 0, 0))
+        _, _, leo = activate(g, [0, 0, 0, 0, 0, 0, 1.0])
         assert leo == 2.0
 
 
@@ -228,12 +247,34 @@ class TestCycleGuard:
     def test_direct_cycle_detected(self):
         hidden = [NodeGene(10, "hidden", "sine"), NodeGene(11, "hidden", "sine")]
         g = genome_with([ConnectionGene(0, 10, 11, 1.0, True)], hidden)
-        assert would_create_cycle(g, 11, 10)
-        assert not would_create_cycle(g, 0, 10)
+        assert would_create_cycle(cppn.adjacency(g), 11, 10)
+        assert not would_create_cycle(cppn.adjacency(g), 0, 10)
 
     def test_self_loop_detected(self):
         g = genome_with([])
-        assert would_create_cycle(g, 7, 7)
+        assert would_create_cycle(cppn.adjacency(g), 7, 7)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=20)
+    def test_agrees_with_topological_sort(self, seed):
+        # one adjacency map serves every pair; adding the link must fail the
+        # constructor's Kahn sort exactly when a cycle is reported
+        g = random_genome(np.random.default_rng(seed), n_mutations=10)
+        outgoing = cppn.adjacency(g)
+        present = {(c.src, c.dst) for c in g.connections}
+        innovation = max(c.innovation for c in g.connections) + 1
+        ids = [n.id for n in g.nodes]
+        for src in ids:
+            for dst in ids:
+                if (src, dst) in present or dst in cppn.INPUT_IDS:
+                    continue
+                link = ConnectionGene(innovation, src, dst, 1.0, True)
+                try:
+                    CppnGenome(g.nodes, g.connections + (link,))
+                    cyclic = False
+                except ValueError:
+                    cyclic = True
+                assert would_create_cycle(outgoing, src, dst) == cyclic
 
 
 class TestSerialization:
@@ -252,3 +293,11 @@ class TestSerialization:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             from_text("not a genome\n")
+
+    def test_missing_final_newline_refused(self):
+        text = to_text(minimal_genome(np.random.default_rng(3)))
+        with pytest.raises(ValueError, match="final newline"):
+            from_text(text[:-1])
+        # a cut inside the last weight would otherwise load as another genome
+        with pytest.raises(ValueError, match="final newline"):
+            from_text(text[:-4])

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chartevo.evaluator import (
     DatasetTensors,
@@ -396,6 +396,94 @@ class TestEvaluatePopulation:
         for i, net in enumerate(nets):
             masks = dropout_masks(net, 0.8, dropout_rng(9, 4, i))
             assert fitness(net, data, config, masks) == all_reports[i]
+
+
+def dyadic(rng, size, scale):
+    """Multiples of 1/8 in [-scale, scale]: sums of a few of their products are exact."""
+    return rng.integers(-8 * scale, 8 * scale + 1, size=size) / 8.0
+
+
+class TestStackedScoring:
+    """Networks without a hidden layer are scored in stacked blocks; every
+    report must equal the one :func:`fitness` gives that network alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        size=st.sampled_from([1, 31, 32, 33, 100]),
+        hidden_share=st.sampled_from([0.0, 0.3]),
+        dropout=st.booleans(),
+    )
+    def test_equals_per_network_fitness(self, seed, size, hidden_share, dropout):
+        rng = np.random.default_rng(seed)
+        n, width = 200, 6
+        X = dyadic(rng, (n, width), 2)
+        # arbitrary returns over six decades: a reordered sum shows in the last bits
+        returns = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        limit = rng.random(n) < 0.2
+        tensors = DatasetTensors("training", 5, X, returns, limit)
+        nets = []
+        for _ in range(size):
+            if rng.random() < hidden_share:
+                nets.append(random_net(rng, sizes=(width, 4, 1)))
+                continue
+            w = dyadic(rng, (width, 1), 2)
+            # the chart at ``on`` outputs exactly 0.0 unless the bias is shifted
+            on = int(rng.integers(n))
+            b = -(X[on] @ w) + (dyadic(rng, 1, 1) if rng.random() < 0.5 else 0.0)
+            nets.append(PhenotypeNetwork((w,), (b,), "relu"))
+        config = EvalConfig(k=5, alpha=50.0, dropout_enabled=dropout, rng_seed=3)
+
+        reports = evaluate_population(nets, tensors, config, generation=2)
+
+        expected = []
+        for i, net in enumerate(nets):
+            masks = None
+            if dropout and net.n_hidden_layers:
+                masks = dropout_masks(net, config.dropout_retain, dropout_rng(3, 2, i))
+            expected.append(fitness(net, tensors, config, masks))
+        assert reports == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.sampled_from([1, 32, 33, 100]))
+    def test_agrees_away_from_zero_on_arbitrary_floats(self, seed, size):
+        # inexact sums: the stacked product and ``X @ w`` may round in their
+        # own orders, so only outputs clear of that rounding must agree
+        rng = np.random.default_rng(seed)
+        n, width = 300, 64
+        X = rng.normal(size=(n, width))
+        returns = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        tensors = DatasetTensors("training", 5, X, returns, rng.random(n) < 0.2)
+        nets = [PhenotypeNetwork((rng.normal(size=(width, 1)),), (rng.normal(size=1),), "relu")
+                for _ in range(size)]
+        config = EvalConfig(k=5, alpha=50.0)
+
+        reports = evaluate_population(nets, tensors, config)
+
+        tradeable = ~tensors.limit_hit
+        for net, report in zip(nets, reports):
+            out = forward_output(net, X)
+            w, b = net.weights[0][:, 0], net.biases[0][0]
+            # error bound of any summation order of width + 1 terms
+            tol = 2 * (width + 1) * np.finfo(float).eps * (np.abs(X) @ np.abs(w) + abs(b))
+            near = (np.abs(out) <= tol) & tradeable
+            if near.any():
+                sure = int(((out > tol) & tradeable).sum())
+                assert sure <= report.match_count <= sure + int(near.sum())
+            else:
+                assert report == fitness(net, tensors, config)
+
+    def test_no_dropout_stream_for_flat_networks(self, monkeypatch):
+        import chartevo.evaluator as evaluator
+
+        rng = np.random.default_rng(21)
+        nets = [random_net(rng, sizes=(4, 1)), random_net(rng, sizes=(4, 3, 1))]
+        keys = []
+        real = evaluator.dropout_rng
+        monkeypatch.setattr(evaluator, "dropout_rng",
+                            lambda seed, g, i: keys.append(i) or real(seed, g, i))
+        evaluate_population(nets, random_dataset(rng, 30), EvalConfig(k=5, alpha=100.0))
+        assert keys == [1]
 
 
 class TestConfig:

@@ -68,10 +68,10 @@ class TestCompatibility:
 
     def test_disjoint_counted(self):
         full = genome_from_pairs(6)
-        gapped = full.with_connections(
+        gapped = CppnGenome(full.nodes, tuple(
             [c for c in full.connections if c.innovation not in (2, 3)]
             + [ConnectionGene(6, *PAIRS[6], 0.5, True)]
-        )
+        ))
         # innovations 2 and 3 are disjoint from one side, 6 is excess
         d = compatibility(full, gapped, 1.0, 0.0, 0.0)
         assert d == pytest.approx(1 / 6)  # excess only
@@ -214,7 +214,7 @@ class TestMutate:
         reg = InnovationRegistry.primed()
         g = minimal_genome(rng)
         for gen in range(12):
-            g = mutate(g, cfg, gen, reg, rng)  # __post_init__ re-validates structure
+            g = mutate(g, cfg, gen, reg, rng)  # structural mutants are re-validated
         order = g.topological_order()
         assert len(order) == len(g.nodes)
 
@@ -226,11 +226,43 @@ class TestMutate:
         for rng in seeds:
             g = minimal_genome(np.random.default_rng(9))
             # force both rngs to split the same first connection
-            child = mutate(g.with_connections([g.connections[0]]), cfg, 0, reg, rng)
+            child = mutate(CppnGenome(g.nodes, g.connections[:1]), cfg, 0, reg, rng)
             children.append(child)
         new_a = [c for c in children[0].connections if c.innovation >= 21]
         new_b = [c for c in children[1].connections if c.innovation >= 21]
         assert {c.innovation for c in new_a} == {c.innovation for c in new_b}
+
+
+class TestOffspringStructure:
+    """Weight-only mutants and crossover children reuse their parent's
+    nodes and cached order; they must equal a fully checked construction."""
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_children_equal_checked_construction(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = quiet_config(weight_mutation_rate=0.9, add_connection_rate=0.5, add_node_rate=0.5)
+        reg = InnovationRegistry.primed()
+        pool = [minimal_genome(rng) for _ in range(4)]
+        for gen in range(10):
+            children = []
+            for _ in range(6):
+                a, b = (pool[int(i)] for i in rng.choice(len(pool), 2, replace=False))
+                child = crossover(a, b, float(rng.random()), float(rng.random()), rng)
+                children += [child, mutate(child, cfg, gen, reg, rng)]
+            for child in children:
+                checked = CppnGenome(child.nodes, child.connections)
+                assert child == checked
+                assert child.topological_order() == checked.topological_order()
+            pool = children
+
+    def test_weight_only_mutant_keeps_parent_nodes(self):
+        cfg = quiet_config(weight_mutation_rate=1.0, add_connection_rate=0.0, add_node_rate=0.0)
+        g = minimal_genome(np.random.default_rng(4))
+        child = mutate(g, cfg, 0, InnovationRegistry.primed(), np.random.default_rng(5))
+        assert child != g
+        assert child.nodes is g.nodes
+        assert child.topological_order() is g.topological_order()
 
 
 class TestCrossover:
@@ -242,7 +274,7 @@ class TestCrossover:
     def test_fitter_structure_wins(self):
         rng = np.random.default_rng(3)
         a = minimal_genome(rng)
-        b = a.with_connections(a.connections[:19])
+        b = CppnGenome(a.nodes, a.connections[:19])
         child = crossover(a, b, 2.0, 1.0, np.random.default_rng(4))
         assert {c.innovation for c in child.connections} == {c.innovation for c in a.connections}
         child = crossover(a, b, 1.0, 2.0, np.random.default_rng(5))
@@ -258,9 +290,7 @@ class TestCrossover:
 
     def test_disabled_in_either_parent_rule(self):
         a = genome_from_pairs(1)
-        disabled = a.with_connections(
-            [ConnectionGene(0, PAIRS[0][0], PAIRS[0][1], 0.5, False)]
-        )
+        disabled = CppnGenome(a.nodes, (ConnectionGene(0, PAIRS[0][0], PAIRS[0][1], 0.5, False),))
         rng = np.random.default_rng(7)
         enabled_count = 0
         trials = 800

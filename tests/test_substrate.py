@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chartevo import cppn
 from chartevo.cppn import ConnectionGene, CppnGenome, NodeGene, minimal_genome
@@ -238,19 +239,94 @@ class TestPhenotypeNetwork:
             phenotype_from_text(text)
 
 
+def per_pair_express(genome, spec):
+    """Reference expression: one CPPN call per layer pair for the links and
+    one per layer for the biases, as separate input arrays."""
+    weights, biases = [], []
+    for i in range(len(spec.layers) - 1):
+        coords_a, coords_b = spec.layer_coordinates(i), spec.layer_coordinates(i + 1)
+        pair_a = np.repeat(coords_a, len(coords_b), axis=0)
+        pair_b = np.tile(coords_b, (len(coords_a), 1))
+        ones = np.ones((len(pair_a), 1))
+        out = cppn.activate_batch(genome, np.concatenate([pair_a, pair_b, ones], axis=1))
+        shape = (-1, len(coords_b))
+        expressed = (out[:, 2] > 0.0).reshape(shape)
+        weights.append(he_scale(np.where(expressed, out[:, 0].reshape(shape), 0.0), expressed))
+        partner = np.zeros((len(coords_b), 3))
+        bias_in = np.concatenate([coords_b, partner, np.ones((len(coords_b), 1))], axis=1)
+        biases.append(cppn.activate_batch(genome, bias_in)[:, 1])
+    return weights, biases
+
+
+def genome_with_every_activation(rng):
+    """A grown random genome whose hidden nodes cycle through every activation."""
+    from chartevo.neat import EvolutionConfig, InnovationRegistry, mutate
+
+    config = EvolutionConfig(population_size=2, generations=1, weight_mutation_rate=0.9,
+                             add_connection_rate=0.6, add_node_rate=0.9)
+    registry = InnovationRegistry.primed()
+    genome = minimal_genome(rng)
+    while sum(n.role == "hidden" for n in genome.nodes) < len(cppn.HIDDEN_ACTIVATION_NAMES):
+        genome = mutate(genome, config, 0, registry, rng)
+    hidden = [n for n in genome.nodes if n.role == "hidden"]
+    names = cppn.HIDDEN_ACTIVATION_NAMES
+    renamed = [NodeGene(n.id, "hidden", names[i % len(names)]) for i, n in enumerate(hidden)]
+    nodes = [n for n in genome.nodes if n.role != "hidden"] + renamed
+    return CppnGenome(tuple(nodes), genome.connections)
+
+
+class TestOneQueryPerGenome:
+    @given(seed=st.integers(0, 2**31 - 1), name=st.sampled_from(["template", "network", "deep"]))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_per_pair_queries(self, seed, name):
+        genome = genome_with_every_activation(np.random.default_rng(seed))
+        spec = standard_substrates()[name]
+        net = express(genome, spec)
+        weights, biases = per_pair_express(genome, spec)
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, weights))
+        assert all(np.array_equal(a, b) for a, b in zip(net.biases, biases))
+
+    def test_one_cppn_call(self, monkeypatch):
+        calls = []
+        real = cppn.activate_batch
+        monkeypatch.setattr(cppn, "activate_batch", lambda g, x: calls.append(len(x)) or real(g, x))
+        spec = standard_substrates()["network"]
+        express(minimal_genome(np.random.default_rng(2)), spec)
+        assert calls == [len(spec.query_inputs)]
+        assert len(spec.query_inputs) == 64 * 192 + 192 * 48 + 48 + 192 + 48 + 1
+
+    def test_query_inputs_layout(self):
+        spec = standard_substrates()["template"]
+        rows = spec.query_inputs
+        coords_a = spec.layer_coordinates(0)
+        # the single target node sits at (0, 0, 1)
+        links = np.concatenate([coords_a, np.tile([0.0, 0.0, 1.0, 1.0], (64, 1))], axis=1)
+        assert np.array_equal(rows[:64], links)
+        assert np.array_equal(rows[64:], [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+
+
 class TestQueryCache:
     def test_queries_match_per_layer_construction(self):
         spec = standard_substrates()["network"]
-        assert len(spec.queries) == len(spec.layers) - 1
-        for i, (pair_a, pair_b, coords_b) in enumerate(spec.queries):
-            coords_a = spec.layer_coordinates(i)
-            expected_b = spec.layer_coordinates(i + 1)
-            assert np.array_equal(pair_a, np.repeat(coords_a, len(expected_b), axis=0))
-            assert np.array_equal(pair_b, np.tile(expected_b, (len(coords_a), 1)))
-            assert np.array_equal(coords_b, expected_b)
-            assert not pair_a.flags.writeable and not coords_b.flags.writeable
+        rows = spec.query_inputs
+        assert np.array_equal(rows[:, 6], np.ones(len(rows)))
+        start = 0
+        for i in range(len(spec.layers) - 1):
+            coords_a, coords_b = spec.layer_coordinates(i), spec.layer_coordinates(i + 1)
+            n = len(coords_a) * len(coords_b)
+            assert np.array_equal(rows[start:start + n, :3], np.repeat(coords_a, len(coords_b), axis=0))
+            assert np.array_equal(rows[start:start + n, 3:6], np.tile(coords_b, (len(coords_a), 1)))
+            start += n
+        for i in range(1, len(spec.layers)):
+            coords = spec.layer_coordinates(i)
+            assert np.array_equal(rows[start:start + len(coords), :3], coords)
+            assert not rows[start:start + len(coords), 3:6].any()
+            start += len(coords)
+        assert start == len(rows)
 
     def test_built_once_per_spec(self):
         spec = standard_substrates()["template"]
-        assert spec.queries is spec.queries
+        rows = spec.query_inputs
+        assert spec.query_inputs is rows
+        assert not rows.flags.writeable
 

@@ -83,8 +83,8 @@ class TestInjectionGeometry:
         config, series, injections = self._quiet_run()
         assert injections, "rate 1.0 must inject"
         for inj in injections:
-            start = series.index_of(inj.motif_start)
-            entry = series.index_of(inj.entry_date)
+            start = series.dates.index(inj.motif_start)
+            entry = series.dates.index(inj.entry_date)
             assert entry - start == config.motif_length
             move = math.log(series.closes[entry] / series.closes[start])
             assert move == pytest.approx(0.3, rel=1e-9)
@@ -92,15 +92,15 @@ class TestInjectionGeometry:
     def test_drift_follows_entry(self):
         config, series, injections = self._quiet_run(drift=0.1)
         for inj in injections:
-            entry = series.index_of(inj.entry_date)
+            entry = series.dates.index(inj.entry_date)
             after = math.log(series.closes[entry + 20] / series.closes[entry])
             assert after == pytest.approx(0.1, rel=1e-9)
 
     def test_falling_shape_drops(self):
         _, series, injections = self._quiet_run(shape="falling", drift=0.0)
         for inj in injections:
-            start = series.index_of(inj.motif_start)
-            entry = series.index_of(inj.entry_date)
+            start = series.dates.index(inj.motif_start)
+            entry = series.dates.index(inj.entry_date)
             move = math.log(series.closes[entry] / series.closes[start])
             assert move == pytest.approx(-0.3, rel=1e-9)
 
@@ -110,7 +110,7 @@ class TestInjectionGeometry:
         series, injections = generate(config)
         by_id = {s.instrument_id: s for s in series}
         for inj in injections:
-            entry = by_id[inj.instrument_id].index_of(inj.entry_date)
+            entry = by_id[inj.instrument_id].dates.index(inj.entry_date)
             assert entry >= config.warmup_days
 
     def test_motifs_do_not_overlap(self):
@@ -121,7 +121,7 @@ class TestInjectionGeometry:
         spacing = config.motif_length + config.drift_horizon
         per_instrument: dict[str, list[int]] = {}
         for inj in injections:
-            start = by_id[inj.instrument_id].index_of(inj.motif_start)
+            start = by_id[inj.instrument_id].dates.index(inj.motif_start)
             per_instrument.setdefault(inj.instrument_id, []).append(start)
         for starts in per_instrument.values():
             assert all(b - a >= spacing for a, b in zip(starts, starts[1:]))
@@ -132,7 +132,7 @@ class TestInjectionGeometry:
         series, injections = generate(config)
         by_id = {s.instrument_id: s for s in series}
         for inj in injections:
-            entry = by_id[inj.instrument_id].index_of(inj.entry_date)
+            entry = by_id[inj.instrument_id].dates.index(inj.entry_date)
             assert entry + config.drift_horizon <= config.n_days - 1
 
 
@@ -147,7 +147,7 @@ class TestDriftStatistics:
         realized = []
         for inj in injections:
             s = by_id[inj.instrument_id]
-            entry = s.index_of(inj.entry_date)
+            entry = s.dates.index(inj.entry_date)
             realized.append(math.log(s.closes[entry + 20] / s.closes[entry]))
         assert len(realized) > 50
         sigma_mean = 0.015 * math.sqrt(20) / math.sqrt(len(realized))
@@ -167,7 +167,7 @@ class TestRecoverability:
         entries: dict[str, list[int]] = {}
         for inj in injections:
             entries.setdefault(inj.instrument_id, []).append(
-                by_id[inj.instrument_id].index_of(inj.entry_date)
+                by_id[inj.instrument_id].dates.index(inj.entry_date)
             )
         injected, clean = [], []
         span = config.motif_length + config.drift_horizon
@@ -177,7 +177,7 @@ class TestRecoverability:
             for ordinal, r20 in zip(charts.entry_ordinals, charts.returns[:, charts.horizons.index(20)]):
                 if np.isnan(r20):
                     continue
-                idx = s.index_of(datetime.date.fromordinal(int(ordinal)))
+                idx = s.dates.index(datetime.date.fromordinal(int(ordinal)))
                 if idx in marks:
                     injected.append(r20)
                 elif all(abs(idx - e) > span for e in marks):

