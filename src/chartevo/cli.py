@@ -42,6 +42,7 @@ from .types import (
     CorpusFormatError,
     Dataset,
     SPLIT_NAMES,
+    atomic_open,
     load_dataset,
     save_dataset,
 )
@@ -61,9 +62,8 @@ def stream_seed(root: int, stream: int) -> int:
 
 
 def _setup_logging(verbose: bool) -> None:
-    level_name = os.environ.get("CHARTEVO_LOG", "INFO" if verbose else "WARNING")
     logging.basicConfig(
-        level=getattr(logging, level_name.upper(), logging.WARNING),
+        level=logging.INFO if verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(levelname)s %(message)s",
     )
 
@@ -177,7 +177,7 @@ def write_manifest(out_dir, command: str, configs: dict, seed: int, inputs) -> N
         "inputs": {str(p): _sha256(p) for p in inputs},
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -311,7 +311,7 @@ def _cmd_evaluate(args) -> int:
     report = fitness(net, corpus[args.split], config)
     sys.stdout.write(report.to_text())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
             fh.write(report.to_text())
     return 0
 

@@ -15,7 +15,6 @@ an extra bump whenever the species count overshoots its cap.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -40,15 +39,9 @@ from .cppn import (
     to_text,
     would_create_cycle,
 )
-from .types import ConfigError, atomic_open
+from .types import ConfigError
 
 log = logging.getLogger(__name__)
-
-CHECKPOINT_MAGIC = "chartevo-checkpoint"
-CHECKPOINT_VERSION = 2
-# what reading a well-formed JSON document with wrong keys or values can raise
-CHECKPOINT_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
-
 
 @dataclass(frozen=True)
 class EvolutionConfig:
@@ -465,18 +458,26 @@ class GenerationStats:
     events: list[str]
 
 
+@dataclass(eq=False)
 class Evolution:
     """Run state: population, species, innovation registry, rng, threshold."""
 
-    def __init__(self, config: EvolutionConfig, rng: np.random.Generator | None = None) -> None:
-        self.config = config
-        self.rng = rng if rng is not None else np.random.default_rng(config.rng_seed)
-        self.registry = InnovationRegistry.primed()
-        self.population = [minimal_genome(self.rng) for _ in range(config.population_size)]
-        self.species: list[Species] = []
-        self.threshold = float(config.compatibility_threshold)
-        self.generation = 0
-        self.next_species_id = 0
+    config: EvolutionConfig
+    rng: np.random.Generator
+    registry: InnovationRegistry
+    population: list[CppnGenome]
+    species: list[Species]
+    threshold: float
+    generation: int = 0
+    next_species_id: int = 0
+
+    @classmethod
+    def start(cls, config: EvolutionConfig) -> Evolution:
+        """Generation 0: minimal genomes drawn from ``default_rng(config.rng_seed)``."""
+        rng = np.random.default_rng(config.rng_seed)
+        population = [minimal_genome(rng) for _ in range(config.population_size)]
+        return cls(config, rng, InnovationRegistry.primed(), population, [],
+                   float(config.compatibility_threshold))
 
     def advance(self, fitnesses: Sequence[float], *, reproduce_population: bool = True) -> GenerationStats:
         """Consume the current generation's fitness and step the run forward.
@@ -506,8 +507,6 @@ class Evolution:
 def evolution_state(evo: Evolution) -> dict:
     """The run's full state as JSON-ready data; genomes are :func:`cppn.to_text` strings."""
     return {
-        "format": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
         "generation": evo.generation,
         "threshold": evo.threshold,
         "next_species_id": evo.next_species_id,
@@ -527,61 +526,21 @@ def evolution_state(evo: Evolution) -> dict:
 
 
 def evolution_from_state(state: dict, config: EvolutionConfig) -> Evolution:
-    if not isinstance(state, dict) or state.get("format") != CHECKPOINT_MAGIC:
-        raise ConfigError("not a chartevo checkpoint")
-    if state.get("version") != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint version {state.get('version')!r} is not supported "
-                          f"(this chartevo reads version {CHECKPOINT_VERSION})")
-    evo = Evolution.__new__(Evolution)
-    evo.config = config
-    evo.rng = np.random.default_rng()
-    evo.rng.bit_generator.state = state["rng_state"]
-    evo.registry = InnovationRegistry.from_state(state["registry"])
-    evo.population = [from_text(g) for g in state["population"]]
-    evo.species = [
-        Species(
-            sp["id"],
-            from_text(sp["representative"]),
-            [],
-            float(sp["best_fitness"]),
-            int(sp["stagnation"]),
-        )
+    """Inverse of :func:`evolution_state`; malformed data raises whatever reading it raises."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state["rng_state"]
+    species = [
+        Species(sp["id"], from_text(sp["representative"]), [],
+                float(sp["best_fitness"]), int(sp["stagnation"]))
         for sp in state["species"]
     ]
-    evo.threshold = float(state["threshold"])
-    evo.generation = int(state["generation"])
-    evo.next_species_id = int(state["next_species_id"])
-    return evo
-
-
-def save_checkpoint(path, evo: Evolution, extra: dict | None = None) -> None:
-    """Write the run state as one JSON document ending in a newline, atomically."""
-    state = evolution_state(evo)
-    if extra:
-        state["extra"] = extra
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-        fh.write("\n")
-
-
-def load_checkpoint(path, config: EvolutionConfig) -> tuple[Evolution, dict]:
-    """Read a checkpoint; any malformed content raises :class:`ConfigError`.
-
-    The writer always ends the document with a newline, so a file cut
-    just before it is refused too.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if not text.endswith("\n"):
-            raise ValueError("no final newline (file truncated?)")
-        state = json.loads(text)
-        evo = evolution_from_state(state, config)
-        extra = state.get("extra", {})
-        if not isinstance(extra, dict):
-            raise TypeError("'extra' is not an object")
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except CHECKPOINT_ERRORS as exc:
-        raise ConfigError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-    return evo, extra
+    return Evolution(
+        config,
+        rng,
+        InnovationRegistry.from_state(state["registry"]),
+        [from_text(g) for g in state["population"]],
+        species,
+        float(state["threshold"]),
+        int(state["generation"]),
+        int(state["next_species_id"]),
+    )

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import COLUMNS, ConfigError, Dataset, PriceSeries, SPLIT_NAMES
+from .types import COLUMNS, ConfigError, Dataset, PriceSeries, SPLIT_NAMES, atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -257,7 +257,7 @@ def write_price_directory(directory, series_set: Sequence[PriceSeries]) -> None:
         write_price_csv(os.path.join(directory, filename), series)
         entries.append({"id": series.instrument_id, "file": filename})
     index = {"format": PRICES_MAGIC, "version": PRICES_VERSION, "instruments": entries}
-    with open(os.path.join(directory, INSTRUMENT_INDEX), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(directory, INSTRUMENT_INDEX), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -10,11 +10,13 @@ network is ever evaluated on the test split.
 All randomness flows from the evolution config's seed plus the eval
 config's dropout seed, so a run is reproducible byte-for-byte: history
 tables and serialized genomes from two runs with the same seeds are
-identical files.
+identical files.  The checkpoint format, its checks and resume live here too.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import logging
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import cppn
 from .evaluator import DatasetTensors, EvalConfig, evaluate_population, fitness, forward_output
-from .neat import CHECKPOINT_ERRORS, Evolution, EvolutionConfig, load_checkpoint, save_checkpoint
+from .neat import Evolution, EvolutionConfig, evolution_from_state, evolution_state
 from .substrate import (
     PhenotypeNetwork,
     SubstrateSpec,
@@ -32,11 +34,17 @@ from .substrate import (
     phenotype_to_text,
     standard_substrates,
 )
-from .types import ConfigError, Dataset, FitnessReport
+from .types import ConfigError, Dataset, FitnessReport, atomic_open
 
 log = logging.getLogger(__name__)
 
 ZERO_FITNESS_PATIENCE = 20
+
+CHECKPOINT_MAGIC = "chartevo-checkpoint"
+CHECKPOINT_VERSION = 3
+CHECKPOINT_MEMBERS = {"format", "version", "config", "corpus", "evolution", "history", "champions"}
+# what reading a well-formed JSON document with wrong keys or values can raise
+CHECKPOINT_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -123,13 +131,12 @@ def run_search(
         substrate=options.substrate,
         k=eval_config.k,
     )
-    configs = {"evolution": asdict(evolution_config), "eval": asdict(eval_config),
-               "search": asdict(options)}
+    configs = {"evolution": evolution_config, "eval": eval_config, "search": options}
     if resume_from is not None:
-        evo = _resume(run, resume_from, evolution_config, configs)
+        evo, run.history, run.champions = load_checkpoint(resume_from, configs, tensors)
         log.info("resumed run %s at generation %d", run.run_id, evo.generation)
     else:
-        evo = Evolution(evolution_config)
+        evo = Evolution.start(evolution_config)
 
     total_generations = max(1, evolution_config.generations)
     zero_streak = sum(1 for _ in itertools.takewhile(_matched_nothing, reversed(run.history)))
@@ -180,7 +187,7 @@ def run_search(
         ):
             os.makedirs(checkpoint_dir, exist_ok=True)
             path = os.path.join(checkpoint_dir, f"checkpoint_g{g + 1:04d}.json")
-            save_checkpoint(path, evo, extra=_run_extra(run, configs))
+            save_checkpoint(path, evo, run, configs, tensors)
 
     run.selected = _select_pattern(run, spec, tensors, clean_config, options)
     return run
@@ -226,52 +233,84 @@ def _matched_nothing(record: GenerationRecord) -> bool:
     return record.best_fitness == 0.0 and record.mean_fitness == 0.0
 
 
-def _champion_to_jsonable(champ: ChampionRecord) -> dict:
-    r = champ.train_report
-    return {
-        "generation": champ.generation,
-        "genome": cppn.to_text(champ.genome),
-        "train_report": [r.k, r.match_count, r.mean_log_return, r.penalty, r.fitness],
-    }
+def _corpus_digests(tensors: Mapping[str, DatasetTensors]) -> dict[str, str]:
+    """sha256 of each scored split's charts, returns and limit flags at the run's horizon."""
+    digests = {}
+    for name, t in tensors.items():
+        digest = hashlib.sha256()
+        for column in (t.X, t.returns, t.limit_hit):
+            digest.update(column.tobytes())
+        digests[name] = digest.hexdigest()
+    return digests
 
 
-def _champion_from_jsonable(data: dict) -> ChampionRecord:
-    k, count, mean, pen, fit = data["train_report"]
-    return ChampionRecord(
-        int(data["generation"]),
-        cppn.from_text(data["genome"]),
-        FitnessReport(int(k), int(count), float(mean), float(pen), float(fit)),
-    )
+def save_checkpoint(path, evo: Evolution, run: SearchRun, configs: Mapping,
+                    tensors: Mapping[str, DatasetTensors]) -> None:
+    """Write everything a resume needs as one JSON document ending in a newline, atomically.
 
-
-def _run_extra(run: SearchRun, configs: dict) -> dict:
-    return {
-        "config": configs,
+    ``configs`` maps section names to the run's config dataclasses;
+    ``tensors`` are the scored splits, stored as digests only.
+    """
+    document = {
+        "format": CHECKPOINT_MAGIC,
+        "version": CHECKPOINT_VERSION,
+        "config": {section: asdict(config) for section, config in configs.items()},
+        "corpus": _corpus_digests(tensors),
+        "evolution": evolution_state(evo),
         "history": [asdict(r) for r in run.history],
-        "champions": [_champion_to_jsonable(c) for c in run.champions],
+        "champions": [{"generation": c.generation, "genome": cppn.to_text(c.genome),
+                       "train_report": asdict(c.train_report)} for c in run.champions],
     }
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh)
+        fh.write("\n")
 
 
-def _resume(run: SearchRun, path, evolution_config: EvolutionConfig, configs: dict) -> Evolution:
-    """Load a checkpoint into ``run``; refuse one made under any other configuration."""
-    evo, extra = load_checkpoint(path, evolution_config)
+def load_checkpoint(
+    path, configs: Mapping, tensors: Mapping[str, DatasetTensors]
+) -> tuple[Evolution, list[GenerationRecord], list[ChampionRecord]]:
+    """Read a checkpoint back as (evolution, history, champions).
+
+    Anything but a complete checkpoint of this version, made under the
+    same ``configs`` on the same ``tensors``, raises :class:`ConfigError`.
+    The writer always ends the document with a newline, so a file cut
+    just before it is refused too.
+    """
     try:
-        saved = extra["config"]
-        changed = [
-            (f"{section}.{name}", saved[section][name], value)
-            for section, fields in configs.items()
-            for name, value in fields.items()
-            if saved[section][name] != value
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError("no final newline (file truncated?)")
+        document = json.loads(text)
+        if not isinstance(document, dict) or document.get("format") != CHECKPOINT_MAGIC:
+            raise ConfigError("not a chartevo checkpoint")
+        if document.get("version") != CHECKPOINT_VERSION:
+            raise ConfigError(f"checkpoint version {document.get('version')!r} is not supported "
+                              f"(this chartevo reads version {CHECKPOINT_VERSION})")
+        if set(document) != CHECKPOINT_MEMBERS:
+            raise ValueError(f"members are {sorted(document)}, expected {sorted(CHECKPOINT_MEMBERS)}")
+        for section, config in configs.items():
+            for name, value in asdict(config).items():
+                saved = document["config"][section][name]
+                if saved != value:
+                    raise ConfigError(f"checkpoint was made with {section}.{name}={saved!r}, "
+                                      f"this run has {value!r}")
+        digests = _corpus_digests(tensors)
+        for name in sorted(set(digests) | set(document["corpus"])):
+            if document["corpus"].get(name) != digests.get(name):
+                raise ConfigError(f"checkpoint was made on a different {name} split")
+        evo = evolution_from_state(document["evolution"], configs["evolution"])
+        history = [GenerationRecord(**r) for r in document["history"]]
+        champions = [
+            ChampionRecord(int(c["generation"]), cppn.from_text(c["genome"]),
+                           FitnessReport(**c["train_report"]))
+            for c in document["champions"]
         ]
-        run.history = [GenerationRecord(**r) for r in extra["history"]]
-        run.champions = [_champion_from_jsonable(c) for c in extra["champions"]]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except CHECKPOINT_ERRORS as exc:
         raise ConfigError(f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from exc
-    if changed:
-        name, old, new = changed[0]
-        raise ConfigError(f"{path}: checkpoint was made with {name}={old!r}, "
-                          f"this run has {new!r}")
-    return evo
+    return evo, history, champions
 
 
 HISTORY_COLUMNS = (
@@ -319,7 +358,7 @@ def export_overlay(net: PhenotypeNetwork, dataset: Dataset, path) -> int:
     n, steps, channels = dataset.values.shape
     matched = forward_output(net, dataset.values.reshape(n, steps * channels)) > 0.0
     rows = np.flatnonzero(matched & ~dataset.limit_hit)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("chart_id,step,daily_change,change_to_last_day\n")
         for row in rows.tolist():
             chart_id = dataset.chart_id(row)
@@ -329,19 +368,19 @@ def export_overlay(net: PhenotypeNetwork, dataset: Dataset, path) -> int:
 
 
 def write_run_outputs(run: SearchRun, out_dir) -> None:
-    """history.csv, pattern.cppn, pattern.net, report.txt, results_row.csv."""
+    """history.csv, pattern.cppn, pattern.net, report.txt, results_row.csv; each atomically."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as fh:
         fh.write(history_table(run))
     if run.selected is None:
         return
-    with open(os.path.join(out_dir, "pattern.cppn"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "pattern.cppn"), "w", encoding="utf-8") as fh:
         fh.write(cppn.to_text(run.selected.genome))
-    with open(os.path.join(out_dir, "pattern.net"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "pattern.net"), "w", encoding="utf-8") as fh:
         fh.write(phenotype_to_text(run.selected.network))
-    with open(os.path.join(out_dir, "results_row.csv"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "results_row.csv"), "w", encoding="utf-8") as fh:
         fh.write(results_row(run))
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"run {run.run_id}\nselected generation {run.selected.generation}\n\n")
         for split in ("training", "validation", "test"):
             report = run.selected.reports.get(split)

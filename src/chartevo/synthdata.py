@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .types import ConfigError, PriceSeries
+from .types import ConfigError, PriceSeries, atomic_open
 
 MOTIF_SHAPES = ("soaring", "falling")
 
@@ -105,7 +105,7 @@ def generate(config: SynthConfig) -> tuple[list[PriceSeries], list[Injection]]:
 
 
 def write_injections(path, injections: Sequence[Injection]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("instrument_id,motif_start,entry_date,shape\n")
         for inj in injections:
             fh.write(f"{inj.instrument_id},{inj.motif_start.isoformat()},"

@@ -279,8 +279,8 @@ def load_dataset(path) -> Dataset:
 
 
 def write_price_csv(path, series: PriceSeries) -> None:
-    """Write one instrument as ``date,close`` rows (repr floats, lossless)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write one instrument as ``date,close`` rows (repr floats, lossless), atomically."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("date,close\n")
         for day, close in zip(series.dates, series.closes):
             fh.write(f"{day.isoformat()},{float(close)!r}\n")

@@ -282,7 +282,7 @@ def test_criterion_05_genotype_and_evolution_correctness():
         population_size=60, generations=50, rng_seed=3,
         add_connection_rate=0.3, add_node_rate=0.2,
     )
-    evo = Evolution(config)
+    evo = Evolution.start(config)
     fitness_rng = np.random.default_rng(99)
     for g in range(50):
         assert len(evo.population) == 60

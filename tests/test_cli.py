@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import errno
 import io
 import json
 import os
@@ -18,7 +20,8 @@ from chartevo.cli import (
     main,
     stream_seed,
 )
-from chartevo.types import CorpusFormatError
+from chartevo import types
+from chartevo.types import CorpusFormatError, load_dataset, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -470,12 +473,13 @@ def checkpoint(pipeline, tmp_path_factory):
             "root": root}
 
 
-def _resume(pipeline, checkpoint, path, *args):
+def _resume(pipeline, checkpoint, path, *args, corpus=None):
     """Exit code and stderr lines of ``chartevo search --resume path``."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["search", "--config", str(checkpoint["config"]),
-                     "--corpus", str(pipeline["corpus"]), "--out", str(checkpoint["root"] / "again"),
+                     "--corpus", str(corpus or pipeline["corpus"]),
+                     "--out", str(checkpoint["root"] / "again"),
                      *CHECKPOINT_ARGS, *args, "--resume", str(path)])
     return code, err.getvalue().splitlines()
 
@@ -519,3 +523,84 @@ def test_resume_with_changed_config_gives_one_error_line(pipeline, checkpoint, a
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("chartevo: ")
     assert f"checkpoint was made with {field}=" in lines[0]
+
+
+def test_resume_on_another_corpus_gives_one_error_line(pipeline, checkpoint, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(pipeline["corpus"], corpus)
+    code, _ = _resume(pipeline, checkpoint, checkpoint["path"], corpus=corpus)
+    assert code == 0
+    straight = (checkpoint["root"] / "run" / "history.csv").read_bytes()
+    assert (checkpoint["root"] / "again" / "history.csv").read_bytes() == straight
+
+    training = load_dataset(corpus / "training.npz")
+    returns = training.returns.copy()
+    column = training.horizons.index(json.loads(checkpoint["config"].read_text())["eval"]["k"])
+    returns[np.flatnonzero(~np.isnan(returns[:, column]))[0], column] += 0.01
+    save_dataset(corpus / "training.npz", dataclasses.replace(training, returns=returns))
+    code, lines = _resume(pipeline, checkpoint, checkpoint["path"], corpus=corpus)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert "checkpoint was made on a different training split" in lines[0]
+
+
+class FullDisk:
+    """A file that takes ``ROOM`` characters and then fails as a full disk does."""
+
+    ROOM = 20
+
+    def __init__(self, path, mode, **kwargs):
+        self.fh = open(path, mode, **kwargs)
+        self.room = self.ROOM
+
+    def write(self, text):
+        self.fh.write(text[:self.room])
+        if len(text) > self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("command, target", [
+    ("search", "manifest.json"),
+    ("search", "history.csv"),
+    ("search", "pattern.net"),
+    ("search", "overlay.csv"),
+    ("synth", "SYN000.csv"),
+    ("synth", "instruments.json"),
+    ("synth", "injections.csv"),
+])
+def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, command, target):
+    """A write cut short by a full disk leaves the previous file and no temporary file."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / target).write_text("previous\n")
+    real_open = open
+
+    def open_filling_disk(path, mode="r", **kwargs):
+        if os.path.basename(path).startswith(target + "."):
+            return FullDisk(path, mode, **kwargs)
+        return real_open(path, mode, **kwargs)
+
+    monkeypatch.setattr(types, "open", open_filling_disk, raising=False)
+    if command == "search":
+        argv = ["search", "--corpus", str(pipeline["corpus"])]
+    else:
+        argv = ["synth"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", str(pipeline["config"]), "--out", str(out)])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and "No space left on device" in lines[0]
+    assert (out / target).read_text() == "previous\n"
+    assert list(out.rglob("*.tmp")) == []

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartevo.cppn import ConnectionGene, CppnGenome, NodeGene, minimal_genome, to_text
+from chartevo.evaluator import EvalConfig
 from chartevo.neat import (
     Evolution,
     EvolutionConfig,
@@ -20,11 +21,16 @@ from chartevo.neat import (
     decayed_rates,
     evolution_from_state,
     evolution_state,
-    load_checkpoint,
     mutate,
     reproduce,
-    save_checkpoint,
     speciate,
+)
+from chartevo.search import (
+    GenerationRecord,
+    SearchOptions,
+    SearchRun,
+    load_checkpoint,
+    save_checkpoint,
 )
 from chartevo.types import ConfigError
 
@@ -462,7 +468,7 @@ class TestEvolutionLoop:
         cfg = quiet_config(population_size=20, generations=8, rng_seed=11)
         runs = []
         for _ in range(2):
-            evo = Evolution(cfg)
+            evo = Evolution.start(cfg)
             trace = []
             for g in range(8):
                 fits = [self.synthetic_fitness(x) for x in evo.population]
@@ -473,7 +479,7 @@ class TestEvolutionLoop:
 
     def test_best_fitness_monotonic_under_deterministic_eval(self):
         cfg = quiet_config(population_size=24, generations=10, rng_seed=12)
-        evo = Evolution(cfg)
+        evo = Evolution.start(cfg)
         best = -math.inf
         for g in range(10):
             fits = [self.synthetic_fitness(x) for x in evo.population]
@@ -483,7 +489,7 @@ class TestEvolutionLoop:
 
     def test_generation_counter_and_stats(self):
         cfg = quiet_config(population_size=8, generations=3, rng_seed=13)
-        evo = Evolution(cfg)
+        evo = Evolution.start(cfg)
         stats = evo.advance([0.0] * 8)
         assert stats.generation == 0
         assert stats.species_count >= 1
@@ -493,21 +499,36 @@ class TestEvolutionLoop:
 
     def test_threshold_follows_growth(self):
         cfg = quiet_config(population_size=8, generations=5, rng_seed=14)
-        evo = Evolution(cfg)
+        evo = Evolution.start(cfg)
         for _ in range(5):
             evo.advance([0.0] * 8)
         assert evo.threshold == pytest.approx(3.0 * 1.001**5, rel=1e-12)
 
     def test_mismatched_fitness_length_rejected(self):
-        evo = Evolution(quiet_config(population_size=8))
+        evo = Evolution.start(quiet_config(population_size=8))
         with pytest.raises(ValueError):
             evo.advance([0.0] * 7)
 
 
+def search_configs(cfg):
+    return {"evolution": cfg, "eval": EvalConfig(), "search": SearchOptions()}
+
+
 class TestCheckpoint:
+    """The NEAT state round trip, alone and inside a search checkpoint file."""
+
+    @staticmethod
+    def save(path, evo, run=None):
+        run = run or SearchRun("run", "template", k=5)
+        save_checkpoint(path, evo, run, search_configs(evo.config), tensors={})
+
+    @staticmethod
+    def load(path, cfg):
+        return load_checkpoint(path, search_configs(cfg), tensors={})
+
     def test_state_round_trip(self):
         cfg = quiet_config(population_size=10, generations=5, rng_seed=21)
-        evo = Evolution(cfg)
+        evo = Evolution.start(cfg)
         for g in range(3):
             fits = [TestEvolutionLoop.synthetic_fitness(x) for x in evo.population]
             evo.advance(fits)
@@ -524,13 +545,13 @@ class TestCheckpoint:
                 evo.advance(fits, reproduce_population=g < total - 1)
             return evo
 
-        straight = run(Evolution(cfg), 0, 6)
-        half = run(Evolution(cfg), 0, 3)
+        straight = run(Evolution.start(cfg), 0, 6)
+        half = run(Evolution.start(cfg), 0, 3)
         # generation 2 reproduced (it is not the final one), so the counter sits at 3
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, half, extra={"note": "intermediate"})
-        resumed, extra = load_checkpoint(path, cfg)
-        assert extra == {"note": "intermediate"}
+        self.save(path, half)
+        resumed, history, champions = self.load(path, cfg)
+        assert history == [] and champions == []
         resumed = run(resumed, resumed.generation, 6)
         assert [g.signature() for g in resumed.population] == [
             g.signature() for g in straight.population
@@ -540,20 +561,20 @@ class TestCheckpoint:
 
     def test_bad_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ConfigError):
-            load_checkpoint(path, quiet_config())
+        path.write_text('{"format": "other"}\n')
+        with pytest.raises(ConfigError, match="not a chartevo checkpoint"):
+            self.load(path, quiet_config())
 
     def _saved(self, tmp_path):
-        evo = Evolution(quiet_config(population_size=6, rng_seed=23))
+        evo = Evolution.start(quiet_config(population_size=6, rng_seed=23))
         evo.advance([0.0] * 6)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, evo)
+        self.save(path, evo)
         return evo, path
 
     def test_genomes_stored_as_genome_text(self, tmp_path):
         evo, path = self._saved(tmp_path)
-        state = json.loads(path.read_text())
+        state = json.loads(path.read_text())["evolution"]
         assert state["population"] == [to_text(g) for g in evo.population]
         assert [sp["representative"] for sp in state["species"]] == [
             to_text(sp.representative) for sp in evo.species
@@ -562,17 +583,18 @@ class TestCheckpoint:
     def test_version_1_refused(self, tmp_path):
         _, path = self._saved(tmp_path)
         state = json.loads(path.read_text())
-        state["version"] = 1
-        path.write_text(json.dumps(state) + "\n")
-        with pytest.raises(ConfigError, match="version 1 is not supported"):
-            load_checkpoint(path, quiet_config())
+        for version in (1, 2):  # 2 stored no corpus digests
+            state["version"] = version
+            path.write_text(json.dumps(state) + "\n")
+            with pytest.raises(ConfigError, match=f"version {version} is not supported"):
+                self.load(path, quiet_config())
 
     @pytest.mark.parametrize("mangle", [
-        lambda s: s.pop("registry"),
-        lambda s: s.__setitem__("population", ["chartevo-cppn 1\nnode 0 input\n"]),
-        lambda s: s.__setitem__("species", [{"id": 0}]),
-        lambda s: s.__setitem__("threshold", "high"),
-        lambda s: s.__setitem__("rng_state", 5),
+        lambda s: s["evolution"].pop("registry"),
+        lambda s: s["evolution"].__setitem__("population", ["chartevo-cppn 1\nnode 0 input\n"]),
+        lambda s: s["evolution"].__setitem__("species", [{"id": 0}]),
+        lambda s: s["evolution"].__setitem__("threshold", "high"),
+        lambda s: s["evolution"].__setitem__("rng_state", 5),
         lambda s: s.__setitem__("extra", []),
     ], ids=["no-registry", "bad-genome", "short-species", "bad-threshold", "bad-rng",
             "extra-list"])
@@ -581,21 +603,23 @@ class TestCheckpoint:
         state = json.loads(path.read_text())
         mangle(state)
         path.write_text(json.dumps(state) + "\n")
-        with pytest.raises(ConfigError, match="ckpt.json"):
-            load_checkpoint(path, quiet_config())
+        with pytest.raises(ConfigError, match="ckpt.json: malformed checkpoint"):
+            self.load(path, quiet_config(population_size=6, rng_seed=23))
 
     def test_missing_final_newline_refused(self, tmp_path):
         _, path = self._saved(tmp_path)
         path.write_text(path.read_text().rstrip("\n"))
         with pytest.raises(ConfigError, match="final newline"):
-            load_checkpoint(path, quiet_config())
+            self.load(path, quiet_config())
 
     def test_failed_dump_leaves_no_checkpoint_and_no_temp_file(self, tmp_path):
-        evo = Evolution(quiet_config(population_size=6, rng_seed=24))
+        evo = Evolution.start(quiet_config(population_size=6, rng_seed=24))
+        run = SearchRun("run", "template", k=5)
+        run.history.append(GenerationRecord(0, 0.0, 0.0, 0, 1, 3.0, validation_fitness=object()))
         path = tmp_path / "ckpt.json"
-        # json.dump writes the state's chunks before it reaches the unserializable value
+        # json.dump writes the evolution state's chunks before it reaches the history
         with pytest.raises(TypeError):
-            save_checkpoint(path, evo, extra={"unserializable": object()})
+            self.save(path, evo, run)
         assert list(tmp_path.iterdir()) == []
 
 

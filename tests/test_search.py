@@ -212,10 +212,21 @@ class TestCheckpointResume:
         run_search(make_corpus(), evc, evalc, options, checkpoint_dir=tmp_path)
         path = tmp_path / "checkpoint_g0002.json"
         state = json.loads(path.read_text())
-        del state["extra"][drop]
+        del state[drop]
         path.write_text(json.dumps(state) + "\n")
         with pytest.raises(ConfigError, match="malformed checkpoint"):
             run_search(make_corpus(), evc, evalc, options, resume_from=path)
+
+    def test_resume_refuses_another_corpus(self, tmp_path):
+        evc, evalc = small_configs(generations=4, population=6)
+        options = SearchOptions(substrate="template", checkpoint_every=2)
+        run_search(make_corpus(), evc, evalc, options, checkpoint_dir=tmp_path)
+        corpus = make_corpus()
+        returns = corpus["training"].returns.copy()
+        returns[7, 0] += 0.01
+        corpus["training"] = dataclasses.replace(corpus["training"], returns=returns)
+        with pytest.raises(ConfigError, match="checkpoint was made on a different training split"):
+            run_search(corpus, evc, evalc, options, resume_from=tmp_path / "checkpoint_g0002.json")
 
     def test_checkpoint_cadence(self, tmp_path):
         evc, evalc = small_configs(generations=5, population=6)
