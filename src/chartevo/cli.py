@@ -6,13 +6,16 @@ evolves a pattern against a corpus, ``evaluate`` scores a saved pattern
 on one split, and ``export-overlay`` dumps its matched charts for
 plotting.  Options resolve as defaults < config file < command line.
 
-Every command that writes an output directory drops a ``manifest.json``
-first: tool version, resolved configuration, seed, and sha256 digests of
-the inputs, so any result can be traced back to what produced it.
+Every command that writes an output directory drops a ``manifest.json``:
+tool version, resolved configuration, seed, and sha256 digests of the
+inputs, so any result can be traced back to what produced it.  ``search``
+first removes the previous run's files and writes its manifest last, so a
+run directory with a manifest holds one complete run.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import hashlib
@@ -55,6 +58,10 @@ log = logging.getLogger(__name__)
 EVOLUTION_STREAM = 1
 DROPOUT_STREAM = 2
 SYNTH_STREAM = 3
+
+# what one search writes into its run directory, the manifest last
+RUN_FILES = ("history.csv", "pattern.cppn", "pattern.net", "results_row.csv", "report.txt",
+             "overlay.csv", "manifest.json")
 
 
 def stream_seed(root: int, stream: int) -> int:
@@ -262,13 +269,11 @@ def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions]:
 def _cmd_search(args) -> int:
     evolution_config, eval_config, options = _search_configs(args)
     corpus = load_corpus(args.corpus)
-    write_manifest(
-        args.out,
-        "search",
-        {"evolution": evolution_config, "eval": eval_config, "search": options},
-        args.seed or 0,
-        list(_corpus_files(args.corpus).values()),
-    )
+    # a run that fails partway must not leave another run's files beside its own;
+    # checkpoints/ stays, since --resume may read from it
+    for name in RUN_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, name))
     run = run_search(
         corpus,
         evolution_config,
@@ -283,6 +288,13 @@ def _cmd_search(args) -> int:
         run.selected.network, corpus[overlay_split], os.path.join(args.out, "overlay.csv")
     )
     log.info("overlay: %d matched charts on %s", count, overlay_split)
+    write_manifest(
+        args.out,
+        "search",
+        {"evolution": evolution_config, "eval": eval_config, "search": options},
+        args.seed or 0,
+        list(_corpus_files(args.corpus).values()),
+    )
     print(results_row(run), end="")
     return 0
 

@@ -22,9 +22,24 @@ count and mean return are reduced on their own, as :func:`fitness` does.
 The stacked product may sum a network's terms in another order than
 :func:`fitness`'s ``X @ w``, so the two agree up to summation order: only
 an output within a few ulps of zero can fall on the other side.
+
+A ReLU network with a hidden layer is scored by :func:`positive_outputs`
+in float32, beside an a-priori bound on each row's float32 error,
+``c * u32 * (|x| . v + beta)`` (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 3): ``v`` and ``beta`` come from one backward
+pass of the absolute kept weights and biases, ReLU is 1-Lipschitz, and
+``c`` is twice the count of roundings on any path.  A row whose float32
+output lies outside its bound has float64's sign; every other row
+(``|out32| <= bound``, or a non-finite value) is re-run through the
+float64 :func:`forward_output`.  A float64 pass over a subset of rows may
+sum in another order than the pass over all rows, so those rows' flags
+equal the full float64 pass up to summation order, as above.  Nets with
+no live hidden unit, and nets whose values float32 cannot hold, run in
+float64 on every row.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -40,6 +55,16 @@ log = logging.getLogger(__name__)
 # networks per stacked product in evaluate_population: a (STACK_BLOCK, n)
 # float64 output buffer, reused block to block, bounds the extra memory
 STACK_BLOCK = 32
+
+# float32 unit roundoff, and the spacing of float32 subnormals: no float32
+# (or float64) product that underflows is off by more than ETA32
+U32 = 2.0 ** -24
+ETA32 = 2.0 ** -149
+# the float32 pass runs only while every non-zero weight and bias is a normal
+# float32 below F32_BIG and no value the pass can reach grows past F32_BIG, so
+# nothing overflows and converting a weight costs at most U32 relative
+F32_TINY = 2.0 ** -126
+F32_BIG = 2.0 ** 100
 
 
 @dataclass(frozen=True)
@@ -73,6 +98,13 @@ class DatasetTensors:
         for name in ("X", "returns", "limit_hit"):
             arr = getattr(self, name)
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def X32(self) -> np.ndarray:
+        """``float32_with_ones(X)``, built once, when a hidden-layer ReLU net first needs it."""
+        X32 = float32_with_ones(self.X)
+        X32.setflags(write=False)
+        return X32
 
     def __len__(self) -> int:
         return len(self.returns)
@@ -126,6 +158,26 @@ def live_units(
     return live
 
 
+def float32_with_ones(X: np.ndarray) -> np.ndarray:
+    """``X`` in float32 with a column of ones appended: the first layer's bias rides in its GEMM.
+
+    A value beyond float32's range becomes inf, which sends every network
+    scored on ``X`` to the float64 pass.
+    """
+    X32 = np.ones((X.shape[0], X.shape[1] + 1), dtype=np.float32)
+    with np.errstate(over="ignore"):
+        X32[:, :-1] = X
+    return X32
+
+
+def _check_inputs(net: PhenotypeNetwork, X: np.ndarray, masks) -> None:
+    if X.shape[1] != net.weights[0].shape[0]:
+        raise ValueError(f"input width {X.shape[1]} does not fit network "
+                         f"expecting {net.weights[0].shape[0]}")
+    if masks is not None and len(masks) != net.n_hidden_layers:
+        raise ValueError("need exactly one dropout mask per hidden layer")
+
+
 def forward_output(
     net: PhenotypeNetwork,
     X: np.ndarray,
@@ -139,11 +191,7 @@ def forward_output(
     contribute exact zeros, so the result equals the dense pass up to
     summation order.
     """
-    if X.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(f"input width {X.shape[1]} does not fit network "
-                         f"expecting {net.weights[0].shape[0]}")
-    if masks is not None and len(masks) != net.n_hidden_layers:
-        raise ValueError("need exactly one dropout mask per hidden layer")
+    _check_inputs(net, X, masks)
     live = live_units(net, masks)
     weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
     biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
@@ -164,14 +212,129 @@ def forward_output(
     return out[:, 0]
 
 
+def _fits_float32(a: np.ndarray) -> bool:
+    """Every entry of the non-negative ``a`` is 0 or a normal float32 below F32_BIG (NaN is not)."""
+    return bool(np.all((a == 0.0) | ((a >= F32_TINY) & (a < F32_BIG))))
+
+
+def _error_bound(weights: list, biases: list, x_max: float) -> tuple[np.ndarray, float] | None:
+    """``(v with beta appended, c * u32)`` for the folded sub-network, or None
+    when float32 cannot hold its pass over inputs up to ``x_max`` in size.
+
+    The output's float32 error is at most ``c * u32 * (|x| . v + beta)``
+    plus ETA32 per underflowing product, carried along to the output
+    (folded into beta).  ``c`` counts the roundings on a path, fan-in plus
+    two per layer plus one for the input, doubled to cover second-order
+    terms, the float64 reference's own error and the bound's float32 sum.
+    """
+    abs_w = [np.abs(w) for w in weights]
+    abs_b = [np.abs(b) for b in biases]
+    reach = np.full(len(weights[0]), x_max)  # largest value any unit can reach
+    for w, b in zip(abs_w, abs_b):
+        reach = reach @ w + b
+        if not (_fits_float32(w) and _fits_float32(b) and reach.max() < F32_BIG):
+            return None
+    v, beta = np.ones(1), abs_b[-1][0]
+    c, underflows = 1, 0.0
+    for i in range(len(weights) - 1, -1, -1):
+        c += len(weights[i]) + 2
+        underflows += (len(weights[i]) + 1) * v.sum()
+        v = abs_w[i] @ v
+        if i:
+            beta += abs_b[i - 1] @ v
+    cu = 2 * c * U32
+    if cu >= 0.01:
+        return None
+    underflows += v.sum()
+    # a floor keeps every term of the bound's own float32 product normal
+    return np.maximum(np.append(v, beta + ETA32 * underflows / cu), 2.0 ** -100), cu
+
+
+def _float32_output(X32: np.ndarray, weights: list, biases: list) -> np.ndarray:
+    """Output of the folded ReLU sub-network in float32; its activations die on return."""
+    h = X32 @ np.vstack([weights[0], biases[0]]).astype(np.float32)
+    np.maximum(h, 0.0, out=h)
+    for w, b in zip(weights[1:-1], biases[1:-1]):
+        h = h @ w.astype(np.float32)
+        h += b.astype(np.float32)
+        np.maximum(h, 0.0, out=h)
+    out = h @ weights[-1][:, 0].astype(np.float32)
+    out += np.float32(biases[-1][0])
+    return out
+
+
+def _runs_float32(net: PhenotypeNetwork) -> bool:
+    return net.activation == "relu" and net.n_hidden_layers > 0
+
+
+def positive_outputs(
+    net: PhenotypeNetwork,
+    X: np.ndarray,
+    masks: Sequence[np.ndarray] | None = None,
+    X32: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per row, whether ``forward_output(net, X, masks)`` is strictly positive.
+
+    ``X32`` is ``float32_with_ones(X)`` if the caller keeps one, else it
+    is built here when needed.  A ReLU network with a live hidden unit
+    runs its live sub-network in float32, with the first bias in the
+    ones column and each dropout mask folded into the next layer's
+    weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``).  A row
+    whose float32 output lies outside the error bound of
+    :func:`_error_bound` keeps its float32 sign, which is the float64
+    sign; every other row (NaN compares false) is re-run through
+    :func:`forward_output`.  Those float64 rows can round in another order
+    than a pass over all rows, so a row within a few float64 ulps of zero
+    may take the other sign.  Sigmoid networks, networks with no hidden
+    layer or no live hidden unit, and networks float32 cannot hold run
+    :func:`forward_output` on every row.
+    """
+    _check_inputs(net, X, masks)
+    if not _runs_float32(net):
+        return forward_output(net, X, masks) > 0.0
+    live = live_units(net, masks)
+    if not all(keep.any() for keep in live[1:-1]):
+        # a constant output: the float64 pass over no hidden unit is cheap
+        return forward_output(net, X, masks) > 0.0
+    weights, biases = [], []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        w = w[np.ix_(live[i], live[i + 1])]
+        if i and masks is not None:
+            w = w * masks[i - 1][live[i]][:, None]
+        weights.append(w)
+        biases.append(b[live[i + 1]])
+    weights[-1], biases[-1] = weights[-1][:, :1], biases[-1][:1]  # forward_output's output
+    if X32 is None:
+        X32 = float32_with_ones(X)
+    x_max = max(X32.max(initial=1.0), -X32.min(initial=0.0))
+    bound = _error_bound(weights, biases, x_max)
+    if bound is None or not all((m >= 0.0).all() for m in masks or ()):
+        return forward_output(net, X, masks) > 0.0
+    vb, cu = bound
+    with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
+        out = _float32_output(X32, weights, biases)
+        err = np.abs(X32) @ vb.astype(np.float32)
+        err *= np.float32(cu)
+        flags = out > 0.0
+        unsure = np.flatnonzero(~(np.abs(out) > err))
+    if len(unsure):
+        flags[unsure] = forward_output(net, X[unsure], masks) > 0.0
+    return flags
+
+
 def match_flags(
     net: PhenotypeNetwork,
     tensors: DatasetTensors,
     masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Boolean match per chart: strictly positive output, limit hits vetoed."""
-    out = forward_output(net, tensors.X, masks)
-    return (out > 0.0) & ~tensors.limit_hit
+    """Boolean match per chart: strictly positive output, limit hits vetoed.
+
+    Signs come from :func:`positive_outputs`: float32 where its error
+    bound certifies them, float64 :func:`forward_output` for the other
+    rows, so flags equal the float64 pass up to summation order.
+    """
+    X32 = tensors.X32 if _runs_float32(net) else None
+    return positive_outputs(net, tensors.X, masks, X32) & ~tensors.limit_hit
 
 
 def penalty(match_count: int, alpha: float) -> float:

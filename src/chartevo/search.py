@@ -25,7 +25,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import cppn
-from .evaluator import DatasetTensors, EvalConfig, evaluate_population, fitness, forward_output
+from .evaluator import (
+    DatasetTensors,
+    EvalConfig,
+    evaluate_population,
+    fitness,
+    forward_output,  # noqa: F401  (bench/spans.py patches this name here)
+    positive_outputs,
+)
 from .neat import Evolution, EvolutionConfig, evolution_from_state, evolution_state
 from .substrate import (
     PhenotypeNetwork,
@@ -356,7 +363,7 @@ def export_overlay(net: PhenotypeNetwork, dataset: Dataset, path) -> int:
     pattern that matches nothing still produces the header line.
     """
     n, steps, channels = dataset.values.shape
-    matched = forward_output(net, dataset.values.reshape(n, steps * channels)) > 0.0
+    matched = positive_outputs(net, dataset.values.reshape(n, steps * channels))
     rows = np.flatnonzero(matched & ~dataset.limit_hit)
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("chart_id,step,daily_change,change_to_last_day\n")

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from chartevo.cli import (
     DROPOUT_STREAM,
     EVOLUTION_STREAM,
+    RUN_FILES,
     SYNTH_STREAM,
     load_corpus,
     main,
@@ -580,10 +581,19 @@ class FullDisk:
     ("synth", "injections.csv"),
 ])
 def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, command, target):
-    """A write cut short by a full disk leaves the previous file and no temporary file."""
+    """A write cut short by a full disk leaves no temporary file.
+
+    ``synth`` keeps the previous file.  A ``search`` into the directory of an
+    earlier run leaves none of that run's files and no manifest, so nothing
+    can pass the failed run's files off as one run; ``checkpoints/`` stays.
+    """
     out = tmp_path / "out"
     out.mkdir()
-    (out / target).write_text("previous\n")
+    previous = RUN_FILES if command == "search" else (target,)
+    for name in previous:
+        (out / name).write_text("previous\n")
+    (out / "checkpoints").mkdir()
+    (out / "checkpoints" / "checkpoint_g0001.json").write_text("previous\n")
     real_open = open
 
     def open_filling_disk(path, mode="r", **kwargs):
@@ -593,7 +603,7 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, comma
 
     monkeypatch.setattr(types, "open", open_filling_disk, raising=False)
     if command == "search":
-        argv = ["search", "--corpus", str(pipeline["corpus"])]
+        argv = ["search", "--corpus", str(pipeline["corpus"]), "--seed", "2"]
     else:
         argv = ["synth"]
     err = io.StringIO()
@@ -601,6 +611,14 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, comma
         code = main(argv + ["--config", str(pipeline["config"]), "--out", str(out)])
     assert code == 1
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and "No space left on device" in lines[0]
-    assert (out / target).read_text() == "previous\n"
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert "No space left on device" in lines[0]
+    if command == "search":
+        assert not (out / "manifest.json").exists()
+        assert not (out / target).exists()
+        assert [name for name in RUN_FILES
+                if (out / name).exists() and (out / name).read_text() == "previous\n"] == []
+    else:
+        assert (out / target).read_text() == "previous\n"
+    assert (out / "checkpoints" / "checkpoint_g0001.json").read_text() == "previous\n"
     assert list(out.rglob("*.tmp")) == []

@@ -18,6 +18,7 @@ from chartevo.evaluator import (
     live_units,
     match_flags,
     penalty,
+    positive_outputs,
 )
 from chartevo.substrate import PhenotypeNetwork, express, standard_substrates
 from chartevo.cppn import minimal_genome
@@ -105,11 +106,15 @@ class TestTensors:
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
         tensors = DatasetTensors.from_dataset(make_dataset([values], [[0.0]], (5,)), 5)
         assert list(tensors.X[0]) == [1.0, 2.0, 3.0, 4.0]
+        assert tensors.X32.dtype == np.float32
+        assert list(tensors.X32[0]) == [1.0, 2.0, 3.0, 4.0, 1.0]
 
     def test_arrays_read_only(self):
         tensors = DatasetTensors.from_dataset(make_dataset(np.zeros((1, 2, 2)), [[0.0]], (5,)), 5)
         with pytest.raises(ValueError):
             tensors.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            tensors.X32[0, 0] = 1.0
 
     def test_empty_dataset(self):
         tensors = DatasetTensors.from_dataset(Dataset.empty("training", (5,)), 5)
@@ -262,6 +267,107 @@ class TestPrunedForward:
         assert np.array_equal(flags, (reference > 0.0) & ~limit)
         after = (X, *net.weights, *net.biases, *(masks or ()))
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def abs_forward(net, X, masks=None):
+    """The dense network on |x| with |W|, |b|, |mask| and no ReLU: bounds every |value|."""
+    h = np.abs(X)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ np.abs(w) + np.abs(b)
+        if masks is not None and i < len(masks):
+            h = h * np.abs(masks[i])
+    return h[:, 0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestCertifiedSigns:
+    """Float32 flags with the float64 fallback must equal dense float64 flags,
+    and no floating-point warning may reach the caller."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n_hidden=st.integers(1, 3),
+        dropout=st.booleans(),
+        dead_layer=st.one_of(st.none(), st.integers(0, 2)),
+        values=st.sampled_from(["normal", "dyadic", "huge"]),
+    )
+    def test_equals_dense_reference(self, seed, n_hidden, dropout, dead_layer, values):
+        rng = np.random.default_rng(seed)
+        net = sparse_net(rng, n_hidden, "relu", dead_layer)
+        n = 200
+        if values == "dyadic":
+            # multiples of 1/8 with masks of 2: every float64 sum is exact in any order
+            snap = [np.round(a * 8.0) / 8.0 for a in (*net.weights, *net.biases)]
+            net = PhenotypeNetwork(tuple(snap[:len(net.weights)]),
+                                   tuple(snap[len(net.weights):]), "relu")
+            masks = dropout_masks(net, 0.5, rng) if dropout else None
+            X = dyadic(rng, (n, 6), 2)
+            X[1:40] = X[0] + dyadic(rng, (39, 6), 1) * (rng.random((39, 1)) < 0.5)
+        else:
+            if values == "huge":
+                # float32 overflows, float64 does not
+                net = PhenotypeNetwork(tuple(w * 1e20 for w in net.weights), net.biases, "relu")
+            masks = dropout_masks(net, 0.6, rng) if dropout else None
+            X = rng.normal(size=(n, 6))
+            # rows 1..99 lie within 1e-12..1e-3 of row 0, on both sides
+            t = rng.choice([-1.0, 1.0], size=(99, 1)) * 10.0 ** rng.uniform(-12, -3, size=(99, 1))
+            X[1:100] = X[0] + t * rng.normal(size=6)
+        # put row 0 on the boundary: its output becomes 0, or nearly so
+        last = net.biases[-1] - dense_forward(net, X[:1], masks)
+        net = PhenotypeNetwork(net.weights, net.biases[:-1] + (last,), "relu")
+        limit = rng.random(n) < 0.1
+        tensors = DatasetTensors("training", 5, X, np.zeros(n), limit)
+
+        reference = dense_forward(net, X, masks)
+        flags = match_flags(net, tensors, masks)
+
+        if values == "dyadic":
+            assert np.array_equal(flags, (reference > 0.0) & ~limit)
+            return
+        # rows within the float64 rounding of any summation order may go either way
+        roundings = 1 + sum(w.shape[0] + 2 for w in net.weights)
+        near = np.abs(reference) <= 2 * roundings * np.finfo(float).eps * abs_forward(net, X, masks)
+        assert np.array_equal(flags[~near], ((reference > 0.0) & ~limit)[~near])
+
+    def _spy(self, monkeypatch):
+        import chartevo.evaluator as evaluator
+
+        rows = []
+        real = evaluator.forward_output
+        monkeypatch.setattr(evaluator, "forward_output",
+                            lambda net, X, masks=None: rows.append(len(X)) or real(net, X, masks))
+        return rows
+
+    def test_float32_certifies_most_rows(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        net = random_net(rng, sizes=(64, 32, 8, 1))
+        masks = dropout_masks(net, 0.8, rng)
+        X = rng.normal(size=(2000, 64))
+        rows = self._spy(monkeypatch)
+        flags = positive_outputs(net, X, masks)
+        assert np.array_equal(flags, dense_forward(net, X, masks) > 0.0)
+        assert sum(rows) < 20
+
+    @pytest.mark.parametrize("case", ["no_live_hidden", "huge", "huge_input", "sigmoid", "flat"])
+    def test_float64_runs_once_on_every_row(self, monkeypatch, case):
+        # a constant output, or a net or input float32 cannot hold, pays for one pass only
+        rng = np.random.default_rng(9)
+        net = random_net(rng, sizes=(6, 5, 3, 1), activation="sigmoid" if case == "sigmoid" else "relu")
+        if case == "no_live_hidden":
+            net = PhenotypeNetwork((np.zeros((6, 5)),) + net.weights[1:],
+                                   (-np.ones(5),) + net.biases[1:], "relu")
+        elif case == "huge":
+            net = PhenotypeNetwork(tuple(w * 1e30 for w in net.weights), net.biases, "relu")
+        elif case == "flat":
+            net = random_net(rng, sizes=(6, 1))
+        X = rng.normal(size=(50, 6))
+        if case == "huge_input":
+            X[7, 2] = 1e300
+        tensors = DatasetTensors("training", 5, X, np.zeros(50), np.zeros(50, bool))
+        rows = self._spy(monkeypatch)
+        assert np.array_equal(match_flags(net, tensors), dense_forward(net, X) > 0.0)
+        assert rows == [50]
 
 
 class TestPenalty:
