@@ -173,7 +173,15 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir, command: str, configs: dict, seed: int, inputs) -> None:
+def _root_seed(args, fell_back: bool) -> int | None:
+    """The root seed a command's streams came from: ``--seed``; 0 when every
+    stream fell back to root 0; None when the config file set some stream."""
+    if args.seed is not None:
+        return args.seed
+    return 0 if fell_back else None
+
+
+def write_manifest(out_dir, command: str, configs: dict, seed: int | None, inputs) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "tool": "chartevo",
@@ -212,13 +220,14 @@ def _cmd_synth(args) -> int:
         "injection_rate": args.injection_rate,
         "drift": args.drift,
     }
+    seed = _root_seed(args, "seed" not in section)
     if args.seed is not None:
         overrides["seed"] = stream_seed(args.seed, SYNTH_STREAM)
     elif "seed" not in section:
         section["seed"] = stream_seed(0, SYNTH_STREAM)
     config = _build_config(SynthConfig, "synth", section, overrides)
     series_list, injections = generate(config)
-    write_manifest(args.out, "synth", {"synth": config}, args.seed or 0, [])
+    write_manifest(args.out, "synth", {"synth": config}, seed, [])
     write_price_directory(args.out, series_list)
     write_injections(os.path.join(args.out, "injections.csv"), injections)
     print(f"wrote {len(series_list)} instruments, {len(injections)} injections to {args.out}")
@@ -232,16 +241,18 @@ def _cmd_preprocess(args) -> int:
     series_list = load_price_directory(args.prices)
     corpus = build_corpus(series_list, config)
     inputs = [os.path.join(args.prices, INSTRUMENT_INDEX)]
-    write_manifest(args.out, "preprocess", {"preprocess": config}, 0, inputs)
+    write_manifest(args.out, "preprocess", {"preprocess": config}, None, inputs)
     for name, dataset in corpus.items():
         save_dataset(os.path.join(args.out, f"{name}.npz"), dataset)
         print(f"{name}: {len(dataset)} charts")
     return 0
 
 
-def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions]:
+def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions, int | None]:
+    """The three search configs, then the root seed for the manifest."""
     evolution_section, eval_section, search_section = _config_sections(
         args.config, "evolution", "eval", "search")
+    seed = _root_seed(args, "rng_seed" not in evolution_section and "rng_seed" not in eval_section)
 
     evolution_overrides = {
         "population_size": args.population,
@@ -263,11 +274,11 @@ def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions]:
                                      evolution_overrides)
     eval_config = _build_config(EvalConfig, "eval", eval_section, eval_overrides)
     options = _build_config(SearchOptions, "search", search_section, options_overrides)
-    return evolution_config, eval_config, options
+    return evolution_config, eval_config, options, seed
 
 
 def _cmd_search(args) -> int:
-    evolution_config, eval_config, options = _search_configs(args)
+    evolution_config, eval_config, options, seed = _search_configs(args)
     corpus = load_corpus(args.corpus)
     # a run that fails partway must not leave another run's files beside its own;
     # checkpoints/ stays, since --resume may read from it
@@ -292,7 +303,7 @@ def _cmd_search(args) -> int:
         args.out,
         "search",
         {"evolution": evolution_config, "eval": eval_config, "search": options},
-        args.seed or 0,
+        seed,
         list(_corpus_files(args.corpus).values()),
     )
     print(results_row(run), end="")

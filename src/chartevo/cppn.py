@@ -189,37 +189,103 @@ def would_create_cycle(outgoing: Mapping[int, list[int]], src: int, dst: int) ->
     return False
 
 
-def activate_batch(genome: CppnGenome, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the genome on a batch of input rows.
+def activate_batch(
+    genome: CppnGenome, inputs: np.ndarray | tuple, outputs: tuple[int, ...] = OUTPUT_IDS
+) -> np.ndarray | list:
+    """Evaluate the genome on a batch of queries, in one of two forms.
 
-    ``inputs`` has shape (n, 7); returns shape (n, 3) with columns
-    (weight, bias, leo).  Disabled connections contribute nothing; a
-    non-input node with no enabled incoming connection sits at its
-    activation of zero preactivation.
+    Row form: ``inputs`` is an array of shape (n, 7); returns shape
+    (n, len(outputs)), one column per output: by default (weight, bias,
+    leo).
+
+    Column form: ``inputs`` is a tuple of seven arrays or floats that
+    broadcast together, such as source columns of shape (n_a, 1),
+    target columns of shape (1, n_b) and floats for constant slots.
+    Returns a list with the value of each node in ``outputs``, in the
+    shape its own inputs broadcast to: a sum widens to (n_a, n_b) only
+    where it first mixes the two sides, and an output no enabled link
+    reaches is the float 0.0.
+
+    Either way only the nodes that feed ``outputs`` are evaluated, each
+    as ``0.0 + w * v + ...`` over its enabled incoming connections in
+    innovation order, so every element is the same IEEE arithmetic on
+    the same operands in both forms and the results agree bit for bit.
+    Disabled connections contribute nothing; a non-input node with no
+    enabled incoming connection sits at its activation of zero
+    preactivation.
     """
+    if isinstance(inputs, tuple):
+        if len(inputs) != N_INPUTS:
+            raise ValueError(f"column form needs {N_INPUTS} input columns")
+        return _evaluate(genome, inputs, outputs, 0.0)
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != N_INPUTS:
         raise ValueError(f"inputs must have shape (n, {N_INPUTS})")
-    n = inputs.shape[0]
-    incoming: dict[int, list[ConnectionGene]] = {}
+    return np.stack(_evaluate(genome, tuple(inputs.T), outputs, np.zeros(len(inputs))), axis=1)
+
+
+def _evaluate(genome: CppnGenome, columns: tuple, outputs: tuple[int, ...], zero) -> list:
+    values = dict(zip(INPUT_IDS, columns))
+    for node_id, activation, terms in _program(genome, outputs):
+        pre = zero
+        for weight, src in terms:
+            pre = pre + weight * values[src]
+        values[node_id] = pre if activation is None else activation(pre)
+    return [values[node_id] for node_id in outputs]
+
+
+_OUTPUT_BITS = {node_id: 1 << i for i, node_id in enumerate(OUTPUT_IDS)}
+
+# (genome, its programs by outputs) for the genome evaluated last: ``express``
+# queries one genome's blocks back to back, so each genome's per-genome work
+# runs once per expression, and nothing is kept for the genomes before it
+_last_programs: tuple = (None, {})
+
+
+def _program(genome: CppnGenome, outputs: tuple[int, ...]) -> tuple:
+    """The steps that evaluate ``outputs``, a subset of OUTPUT_IDS.
+
+    Each step is ``(node id, activation or None for linear, ((weight,
+    source id), ...))`` for one non-input node that feeds ``outputs``, in
+    topological order, over its enabled incoming connections in
+    innovation order.  The steps of every node and the outputs each one
+    feeds are worked out once for the genome evaluated last; each set of
+    outputs then keeps the steps that feed it.
+    """
+    global _last_programs
+    owner, programs = _last_programs
+    if owner is not genome:
+        programs = {}
+        _last_programs = (genome, programs)
+    program = programs.get(outputs)
+    if program is None:
+        steps = programs.get(None)  # every node's step, which each set of outputs filters
+        if steps is None:
+            steps = programs[None] = _steps(genome)
+        wanted = 0
+        for node_id in outputs:
+            wanted |= _OUTPUT_BITS[node_id]
+        program = programs[outputs] = tuple(step[:3] for step in steps if step[3] & wanted)
+    return program
+
+
+def _steps(genome: CppnGenome) -> list[tuple]:
+    """``(node id, activation, terms, bits of the outputs it feeds)`` per non-input node."""
+    incoming: dict[int, list[tuple[float, int]]] = {}
     for c in genome.connections:
         if c.enabled:
-            incoming.setdefault(c.dst, []).append(c)
-    values: dict[int, np.ndarray] = {}
-    roles = {node.id: node for node in genome.nodes}
-    for node_id in genome.topological_order():
-        node = roles[node_id]
-        if node.role == "input":
-            values[node_id] = inputs[:, node_id]
-            continue
-        pre = np.zeros(n)
-        for c in incoming.get(node_id, ()):
-            pre = pre + c.weight * values[c.src]
-        if node.role == "output":
-            values[node_id] = pre
-        else:
-            values[node_id] = ACTIVATIONS[node.activation](pre)
-    return np.stack([values[WEIGHT_OUTPUT], values[BIAS_OUTPUT], values[LEO_OUTPUT]], axis=1)
+            incoming.setdefault(c.dst, []).append((c.weight, c.src))
+    order = genome.topological_order()
+    feeds = dict(_OUTPUT_BITS)
+    for node_id in reversed(order):
+        bits = feeds.get(node_id)
+        if bits:
+            for _, src in incoming.get(node_id, ()):
+                feeds[src] = feeds.get(src, 0) | bits
+    hidden = {n.id: ACTIVATIONS[n.activation] for n in genome.nodes
+              if n.role == "hidden" and n.activation != "linear"}
+    return [(node_id, hidden.get(node_id), tuple(incoming.get(node_id, ())), feeds[node_id])
+            for node_id in order if node_id >= N_INPUTS and node_id in feeds]
 
 
 def clamp_weight(weight: float) -> float:

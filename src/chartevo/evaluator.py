@@ -106,6 +106,18 @@ class DatasetTensors:
         X32.setflags(write=False)
         return X32
 
+    @functools.cached_property
+    def abs_X32(self) -> np.ndarray:
+        """``|X32|`` for the error bound of :func:`positive_outputs`, built once."""
+        abs_X32 = np.abs(self.X32)
+        abs_X32.setflags(write=False)
+        return abs_X32
+
+    @functools.cached_property
+    def x_max(self) -> np.float32:
+        """The largest magnitude in ``X32``, at least 1 (the ones column), found once."""
+        return _max_magnitude(self.X32)
+
     def __len__(self) -> int:
         return len(self.returns)
 
@@ -168,6 +180,10 @@ def float32_with_ones(X: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         X32[:, :-1] = X
     return X32
+
+
+def _max_magnitude(X32: np.ndarray) -> np.float32:
+    return max(X32.max(initial=1.0), -X32.min(initial=0.0))
 
 
 def _check_inputs(net: PhenotypeNetwork, X: np.ndarray, masks) -> None:
@@ -271,12 +287,13 @@ def positive_outputs(
     net: PhenotypeNetwork,
     X: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
-    X32: np.ndarray | None = None,
+    tensors: DatasetTensors | None = None,
 ) -> np.ndarray:
     """Per row, whether ``forward_output(net, X, masks)`` is strictly positive.
 
-    ``X32`` is ``float32_with_ones(X)`` if the caller keeps one, else it
-    is built here when needed.  A ReLU network with a live hidden unit
+    ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
+    is: its cached ``X32``, ``x_max`` and ``abs_X32`` are used, else they
+    are built here when needed.  A ReLU network with a live hidden unit
     runs its live sub-network in float32, with the first bias in the
     ones column and each dropout mask folded into the next layer's
     weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``).  A row
@@ -304,16 +321,18 @@ def positive_outputs(
         weights.append(w)
         biases.append(b[live[i + 1]])
     weights[-1], biases[-1] = weights[-1][:, :1], biases[-1][:1]  # forward_output's output
-    if X32 is None:
-        X32 = float32_with_ones(X)
-    x_max = max(X32.max(initial=1.0), -X32.min(initial=0.0))
+    X32 = float32_with_ones(X) if tensors is None else tensors.X32
+    x_max = _max_magnitude(X32) if tensors is None else tensors.x_max
     bound = _error_bound(weights, biases, x_max)
     if bound is None or not all((m >= 0.0).all() for m in masks or ()):
         return forward_output(net, X, masks) > 0.0
     vb, cu = bound
     with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
         out = _float32_output(X32, weights, biases)
-        err = np.abs(X32) @ vb.astype(np.float32)
+        # |X32| is first built after a pass, so a split scored once never holds
+        # it beside the hidden activations
+        abs_X32 = np.abs(X32) if tensors is None else tensors.abs_X32
+        err = abs_X32 @ vb.astype(np.float32)
         err *= np.float32(cu)
         flags = out > 0.0
         unsure = np.flatnonzero(~(np.abs(out) > err))
@@ -333,8 +352,7 @@ def match_flags(
     bound certifies them, float64 :func:`forward_output` for the other
     rows, so flags equal the float64 pass up to summation order.
     """
-    X32 = tensors.X32 if _runs_float32(net) else None
-    return positive_outputs(net, tensors.X, masks, X32) & ~tensors.limit_hit
+    return positive_outputs(net, tensors.X, masks, tensors) & ~tensors.limit_hit
 
 
 def penalty(match_count: int, alpha: float) -> float:

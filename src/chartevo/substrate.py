@@ -4,9 +4,13 @@ A substrate is a stack of 2-d node grids placed at evenly spaced depths
 in [-1, 1].  Nodes connect only to the next layer.  Each candidate link
 (a, b) is assigned the CPPN's weight output at the coordinate pair, but
 only where the gate output is positive; node biases come from a second
-kind of query with the partner coordinate zeroed.  Both kinds go to the
-CPPN as one batch per genome.  Expressed weights can then be
-rescaled per target node to keep forward variance in check.
+kind of query with the partner coordinate zeroed.  A layer pair's link
+queries are the product of its source and target coordinates, so the
+CPPN is evaluated on the two sides' coordinate columns and widened to
+the (source, target) grid only where a sum first mixes them; each pair
+asks only for the weight and gate outputs, and one more query asks for
+every bias.  Expressed weights can then be rescaled per target node to
+keep forward variance in check.
 """
 from __future__ import annotations
 
@@ -20,6 +24,9 @@ from .types import ConfigError
 
 PHENOTYPE_MAGIC = "chartevo-phenotype"
 PHENOTYPE_VERSION = 1
+
+LINK_OUTPUTS = (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT)
+BIAS_OUTPUTS = (cppn.BIAS_OUTPUT,)
 
 
 @dataclass(frozen=True)
@@ -78,24 +85,41 @@ class SubstrateSpec:
         return self.layers[index].coordinates(self.depths[index])
 
     @cached_property
-    def query_inputs(self) -> np.ndarray:
-        """CPPN input rows for expressing one genome, read-only; built once.
+    def link_columns(self) -> tuple[tuple, ...]:
+        """Per adjacent-layer pair, the seven CPPN input columns of its link queries; built once.
 
-        For each adjacent-layer pair, every candidate link (source
-        coordinates, target coordinates, 1), row-major over (source,
-        target); then, layer by layer, every non-input node (its
-        coordinates, a zero partner slot, 1).
+        Source x and y have shape (n_a, 1), target x and y shape (1, n_b),
+        so the pair's (n_a, n_b) queries are their broadcast product; the
+        two depths, the constant 1 and the coordinates of a one-node layer
+        are floats.  Arrays are read-only.
         """
-        coords = [self.layer_coordinates(i) for i in range(len(self.layers))]
-        links = [
-            np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
-            for a, b in zip(coords, coords[1:])
-        ]
-        nodes = [np.concatenate([b, np.zeros_like(b)], axis=1) for b in coords[1:]]
-        rows = np.concatenate(links + nodes)
-        out = np.concatenate([rows, np.ones((len(rows), 1))], axis=1)
-        out.setflags(write=False)
-        return out
+        depths = self.depths
+        blocks = []
+        for i in range(len(self.layers) - 1):
+            a, b = self.layer_coordinates(i), self.layer_coordinates(i + 1)
+            blocks.append((_column(a[:, 0], (-1, 1)), _column(a[:, 1], (-1, 1)), depths[i],
+                           _column(b[:, 0], (1, -1)), _column(b[:, 1], (1, -1)), depths[i + 1], 1.0))
+        return tuple(blocks)
+
+    @cached_property
+    def bias_columns(self) -> tuple:
+        """The seven CPPN input columns of every non-input node's bias query; built once.
+
+        Node coordinates, layer by layer, as read-only columns of shape
+        (n,), or floats if there is one such node; then a zero partner and
+        the constant 1, as floats.
+        """
+        coords = np.concatenate([self.layer_coordinates(i) for i in range(1, len(self.layers))])
+        return tuple(_column(coords[:, j], (-1,)) for j in range(3)) + (0.0, 0.0, 0.0, 1.0)
+
+
+def _column(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | float:
+    """``values`` as a read-only column of ``shape``, or as a float when it holds one value."""
+    if len(values) == 1:
+        return float(values[0])
+    column = np.ascontiguousarray(values).reshape(shape)
+    column.setflags(write=False)
+    return column
 
 
 def standard_substrates() -> dict[str, SubstrateSpec]:
@@ -173,26 +197,32 @@ def express(
     scaling: str = "he",
     activation: str = "relu",
 ) -> PhenotypeNetwork:
-    """Query the genome over every adjacent-layer pair and bias coordinate."""
+    """Query the genome over every adjacent-layer pair and bias coordinate.
+
+    One column-form CPPN call per layer pair asks for the weight and gate
+    outputs; one more asks for every bias.
+    """
     if scaling not in ("he", "none"):
         raise ConfigError(f"unsupported scaling {scaling!r}")
-    # one CPPN pass over every link query, then every bias query
-    out = cppn.activate_batch(genome, spec.query_inputs)
     sizes = spec.layer_sizes
     weights = []
-    biases = []
-    link_row = 0
-    bias_row = sum(n_a * n_b for n_a, n_b in zip(sizes, sizes[1:]))
-    for n_a, n_b in zip(sizes, sizes[1:]):
-        rows = slice(link_row, link_row + n_a * n_b)
-        link_row += n_a * n_b
-        expressed = (out[rows, 2] > 0.0).reshape(n_a, n_b)
-        w = np.where(expressed, out[rows, 0].reshape(n_a, n_b), 0.0)
+    for columns, shape in zip(spec.link_columns, zip(sizes, sizes[1:])):
+        weight, gate = cppn.activate_batch(genome, columns, LINK_OUTPUTS)
+        expressed = gate > 0.0
+        if np.shape(expressed) != shape:  # the gate reads one side or neither
+            expressed = np.broadcast_to(expressed, shape)
+        w = np.where(expressed, weight, 0.0)
         if scaling == "he":
             w = he_scale(w, expressed)
         weights.append(w)
-        biases.append(out[bias_row:bias_row + n_b, 1])
-        bias_row += n_b
+    (bias,) = cppn.activate_batch(genome, spec.bias_columns, BIAS_OUTPUTS)
+    if np.ndim(bias) == 0:  # the bias reads no coordinate, or there is one node
+        bias = np.full(sum(sizes[1:]), bias)
+    biases = []
+    start = 0
+    for n_b in sizes[1:]:
+        biases.append(bias[start:start + n_b])
+        start += n_b
     return PhenotypeNetwork(tuple(weights), tuple(biases), activation)
 
 

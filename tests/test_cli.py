@@ -261,6 +261,54 @@ def run_dir(pipeline, tmp_path_factory):
     return out
 
 
+def _manifest_seed(directory):
+    return json.loads((directory / "manifest.json").read_text())["seed"]
+
+
+class TestManifestSeed:
+    """``seed`` names the root the streams came from: --seed, 0 when every stream
+    fell back to root 0, or null when the config file set a stream."""
+
+    def _synth(self, tmp_path, extra_args, synth_config):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"synth": synth_config}))
+        out = tmp_path / "prices"
+        assert main(["synth", "--config", str(cfg), "--out", str(out), "--instruments", "1",
+                     "--days", "10"] + extra_args) == 0
+        return _manifest_seed(out)
+
+    def test_synth_cli_seed(self, tmp_path):
+        assert self._synth(tmp_path, ["--seed", "42"], {"seed": 123}) == 42
+
+    def test_synth_default_root(self, tmp_path):
+        assert self._synth(tmp_path, [], {}) == 0
+
+    def test_synth_config_seed(self, tmp_path):
+        assert self._synth(tmp_path, [], {"seed": 123}) is None
+
+    def test_preprocess_uses_no_seed(self, pipeline):
+        assert _manifest_seed(pipeline["corpus"]) is None
+
+    def test_search_cli_seed(self, run_dir):
+        assert _manifest_seed(run_dir) == 5
+
+    @pytest.mark.parametrize("sections, expected", [
+        ({}, 0),
+        ({"evolution": {"rng_seed": 3}}, None),
+        ({"eval": {"rng_seed": 3}}, None),
+    ], ids=["default_root", "evolution_seed", "dropout_seed"])
+    def test_search_without_cli_seed(self, pipeline, tmp_path, sections, expected):
+        config = json.loads(pipeline["config"].read_text())
+        for name, section in sections.items():
+            config[name].update(section)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["search", "--config", str(cfg), "--corpus", str(pipeline["corpus"]),
+                     "--out", str(out), "--population", "4", "--generations", "1"]) == 0
+        assert _manifest_seed(out) == expected
+
+
 class TestSearchCommand:
     def test_outputs_written(self, run_dir):
         names = {p.name for p in run_dir.iterdir()}
@@ -622,3 +670,27 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, comma
         assert (out / target).read_text() == "previous\n"
     assert (out / "checkpoints" / "checkpoint_g0001.json").read_text() == "previous\n"
     assert list(out.rglob("*.tmp")) == []
+
+
+def test_run_files_do_not_depend_on_blas_threads(pipeline, tmp_path):
+    # one network search per OpenBLAS thread count, each in its own process,
+    # since OpenBLAS reads the variable once, when it loads
+    import subprocess
+    import sys
+
+    import chartevo
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chartevo.__file__)))
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "chartevo.cli", "search",
+                        "--config", str(pipeline["config"]), "--corpus", str(pipeline["corpus"]),
+                        "--out", str(out), "--substrate", "network", "--population", "6",
+                        "--generations", "2", "--seed", "3"],
+                       env=env, check=True, capture_output=True)
+        outputs[threads] = {name: (out / name).read_bytes() for name in RUN_FILES
+                            if name != "manifest.json"}
+    assert outputs["1"] == outputs["2"]

@@ -43,14 +43,12 @@ BIAS_SPEC = SubstrateSpec("bias", (Grid(1, 1), Grid(1, 1), Grid(5, 5), Grid(5, 5
 
 
 def query_bias(genome, coord):
-    """Bias output for the node at ``coord``, read off the substrate's query array."""
-    inputs = BIAS_SPEC.query_inputs
-    sizes = BIAS_SPEC.layer_sizes
-    n_links = sum(n_a * n_b for n_a, n_b in zip(sizes, sizes[1:]))
-    rows = n_links + np.flatnonzero((inputs[n_links:, :3] == coord).all(axis=1))
+    """Bias output for the node at ``coord``: its coordinates, a zero partner slot and 1."""
+    coords = np.concatenate([BIAS_SPEC.layer_coordinates(i) for i in range(1, len(BIAS_SPEC.layers))])
+    rows = np.flatnonzero((coords == coord).all(axis=1))
     assert len(rows) == 1
-    assert inputs[rows[0], 3:].tolist() == [0.0, 0.0, 0.0, 1.0]
-    return float(activate_batch(genome, inputs)[rows[0], 1])
+    inputs = np.concatenate([coords[rows], np.zeros((1, 3)), np.ones((1, 1))], axis=1)
+    return float(activate_batch(genome, inputs)[0, 1])
 
 
 def random_genome(rng, n_mutations=8):
@@ -218,6 +216,16 @@ class TestAgainstRecursiveOracle:
         inputs = rng.uniform(-1, 1, (8, 7))
         assert np.array_equal(activate_batch(g, inputs), recursive_reference(g, inputs))
 
+    @pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+    def test_signed_zeros_equal_recursive(self, activation):
+        # a lone negative link from a zero input adds -0.0 to 0.0: every value is +0.0
+        g = genome_with([ConnectionGene(0, 0, 7, -1.0, True), ConnectionGene(1, 0, 10, -1.0, True),
+                         ConnectionGene(2, 10, 8, 1.0, True), ConnectionGene(3, 10, 9, -2.0, True)],
+                        [NodeGene(10, "hidden", activation)])
+        inputs = np.zeros((3, 7))
+        inputs[1, 0], inputs[2, 0] = 0.5, -0.5
+        assert activate_batch(g, inputs).tobytes() == recursive_reference(g, inputs).tobytes()
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20)
     def test_disabled_equals_removed(self, seed):
@@ -226,6 +234,71 @@ class TestAgainstRecursiveOracle:
         stripped = CppnGenome(g.nodes, tuple(c for c in g.connections if c.enabled))
         inputs = rng.uniform(-1, 1, (4, 7))
         assert np.array_equal(activate_batch(g, inputs), activate_batch(stripped, inputs))
+
+
+def product_rows(columns):
+    """The row form of seven broadcastable columns: one row per element of their product."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    return np.stack([np.broadcast_to(c, shape).ravel() for c in columns], axis=1), shape
+
+
+class TestColumnForm:
+    def _columns(self, rng, n_a, n_b):
+        a, b = rng.uniform(-1, 1, (n_a, 2)), rng.uniform(-1, 1, (n_b, 2))
+        return (a[:, :1], a[:, 1:], -0.5, b[:, 0].reshape(1, -1), b[:, 1].reshape(1, -1), 0.5, 1.0)
+
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=40)
+    def test_equals_row_form_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_genome(rng, n_mutations=12)
+        columns = self._columns(rng, 5, 3)
+        rows, shape = product_rows(columns)
+        expected = activate_batch(g, rows)
+        for outputs in (cppn.OUTPUT_IDS, (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT), (cppn.BIAS_OUTPUT,)):
+            wanted = expected[:, [cppn.OUTPUT_IDS.index(node_id) for node_id in outputs]]
+            assert activate_batch(g, rows, outputs).tobytes() == wanted.tobytes()
+            values = activate_batch(g, columns, outputs)
+            for j, value in enumerate(values):
+                assert np.broadcast_to(value, shape).ravel().tobytes() == wanted[:, j].tobytes()
+
+    def test_sums_widen_only_where_sides_mix(self):
+        hidden = [NodeGene(10, "hidden", "sine"), NodeGene(11, "hidden", "gaussian")]
+        g = genome_with([
+            ConnectionGene(0, 0, 10, 1.0, True),   # source side only
+            ConnectionGene(1, 3, 11, 1.0, True),   # target side only
+            ConnectionGene(2, 10, 7, 1.0, True),
+            ConnectionGene(3, 11, 7, 1.0, True),   # the weight mixes both sides
+            ConnectionGene(4, 10, 9, 1.0, True),
+            ConnectionGene(5, 6, 8, 0.5, True),    # the bias reads the constant only
+        ], hidden)
+        weight, bias, leo = activate_batch(g, self._columns(np.random.default_rng(0), 5, 3))
+        assert np.shape(weight) == (5, 3)
+        assert np.shape(leo) == (5, 1)
+        assert bias == 0.5 and np.ndim(bias) == 0
+
+    def test_output_without_links_is_zero(self):
+        g = genome_with([ConnectionGene(0, 0, 7, 1.0, True), ConnectionGene(1, 6, 9, 1.0, False)])
+        weight, leo = activate_batch(g, self._columns(np.random.default_rng(1), 4, 2),
+                                     (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT))
+        assert np.shape(weight) == (4, 1)
+        assert leo == 0.0 and np.ndim(leo) == 0
+
+    def test_evaluates_only_nodes_that_feed_the_outputs(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cppn.ACTIVATIONS, "sine", lambda a: calls.append(np.shape(a)) or np.sin(a))
+        hidden = [NodeGene(10, "hidden", "sine")]
+        g = genome_with([ConnectionGene(0, 0, 10, 1.0, True), ConnectionGene(1, 10, 8, 1.0, True),
+                         ConnectionGene(2, 6, 7, 1.0, True)], hidden)
+        columns = self._columns(np.random.default_rng(2), 4, 2)
+        activate_batch(g, columns, (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT))
+        assert calls == []
+        activate_batch(g, columns, (cppn.BIAS_OUTPUT,))
+        assert calls == [(4, 1)]
+
+    def test_wrong_column_count_rejected(self):
+        with pytest.raises(ValueError):
+            activate_batch(genome_with([]), (0.0,) * 6)
 
 
 class TestQueries:

@@ -116,6 +116,27 @@ class TestTensors:
         with pytest.raises(ValueError):
             tensors.X32[0, 0] = 1.0
 
+    def test_bound_inputs_cached_after_first_float32_pass(self, monkeypatch):
+        import chartevo.evaluator as evaluator
+        from chartevo.search import _corpus_digests
+
+        rng = np.random.default_rng(3)
+        tensors = DatasetTensors.from_dataset(random_dataset(rng, 200), 5)
+        digests = _corpus_digests({"training": tensors})
+        seen = []
+        real = evaluator._float32_output
+        monkeypatch.setattr(evaluator, "_float32_output",
+                            lambda *a: seen.append("abs_X32" in vars(tensors)) or real(*a))
+        net = random_net(rng)
+        first = match_flags(net, tensors)
+        assert np.array_equal(match_flags(net, tensors), first)
+        # |X32| is not held during the first pass, and is reused by the second
+        assert seen == [False, True]
+        assert np.array_equal(tensors.abs_X32, np.abs(tensors.X32))
+        assert not tensors.abs_X32.flags.writeable
+        assert tensors.x_max == np.abs(tensors.X32).max()
+        assert _corpus_digests({"training": tensors}) == digests
+
     def test_empty_dataset(self):
         tensors = DatasetTensors.from_dataset(Dataset.empty("training", (5,)), 5)
         assert len(tensors) == 0

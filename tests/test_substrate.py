@@ -275,58 +275,128 @@ def genome_with_every_activation(rng):
     return CppnGenome(tuple(nodes), genome.connections)
 
 
-class TestOneQueryPerGenome:
-    @given(seed=st.integers(0, 2**31 - 1), name=st.sampled_from(["template", "network", "deep"]))
+def nodes_with(hidden):
+    nodes = [NodeGene(i, "input", "linear") for i in range(7)]
+    nodes += [NodeGene(i, "output", "linear") for i in (7, 8, 9)]
+    return nodes + list(hidden)
+
+
+def constant_fed_genome():
+    """Hidden nodes of every activation fed only by constant slots (both depths, the
+    constant 1), and a hidden node that feeds only the bias: no link block asks for it."""
+    names = cppn.HIDDEN_ACTIVATION_NAMES
+    hidden = [NodeGene(10 + i, "hidden", name) for i, name in enumerate(names)]
+    hidden.append(NodeGene(20, "hidden", "sine"))
+    conns = []
+    for i, name in enumerate(names):
+        src = (2, 5, 6)[i % 3]
+        conns.append(ConnectionGene(len(conns), src, 10 + i, 1.5 - 0.7 * i, True))
+        for dst in (7, 8, 9):
+            conns.append(ConnectionGene(len(conns), 10 + i, dst, 0.9 - 0.4 * i + 0.1 * dst, True))
+    conns.append(ConnectionGene(len(conns), 0, 20, 2.0, True))
+    conns.append(ConnectionGene(len(conns), 20, 8, -1.0, True))
+    conns.append(ConnectionGene(len(conns), 3, 7, 0.3, True))
+    return CppnGenome(tuple(nodes_with(hidden)), tuple(conns))
+
+
+def genome_missing_output(missing):
+    """Every input feeds every output but ``missing``, which has no enabled incoming link."""
+    conns = [ConnectionGene(3 * src + i, src, dst, 0.25 * (src - 3) + 0.1 * i, dst != missing)
+             for src in range(7) for i, dst in enumerate((7, 8, 9))]
+    return CppnGenome(tuple(nodes_with(())), tuple(conns))
+
+
+def dangling_genome():
+    """A hidden node that feeds no output at all, beside the minimal genome's links."""
+    base = minimal_genome(np.random.default_rng(4))
+    extra = (ConnectionGene(100, 1, 10, 1.0, True),)
+    return CppnGenome(tuple(base.nodes) + (NodeGene(10, "hidden", "sigmoid"),),
+                      base.connections + extra)
+
+
+def sole_link_genome():
+    """Each output has one negative link from a coordinate that is 0.0 at some nodes."""
+    conns = [ConnectionGene(0, 1, 7, -0.5, True), ConnectionGene(1, 4, 8, -1.5, True),
+             ConnectionGene(2, 6, 9, 1.0, True)]
+    return CppnGenome(tuple(nodes_with(())), tuple(conns))
+
+
+def assert_same_bytes(net, genome, spec):
+    weights, biases = per_pair_express(genome, spec)
+    assert [w.tobytes() for w in net.weights] == [w.tobytes() for w in weights]
+    assert [b.tobytes() for b in net.biases] == [b.tobytes() for b in biases]
+
+
+SUBSTRATE_NAMES = ["template", "network", "deep"]
+
+
+class TestBlockExpression:
+    @given(seed=st.integers(0, 2**31 - 1), name=st.sampled_from(SUBSTRATE_NAMES))
     @settings(max_examples=30, deadline=None)
     def test_equals_per_pair_queries(self, seed, name):
         genome = genome_with_every_activation(np.random.default_rng(seed))
         spec = standard_substrates()[name]
-        net = express(genome, spec)
-        weights, biases = per_pair_express(genome, spec)
-        assert all(np.array_equal(a, b) for a, b in zip(net.weights, weights))
-        assert all(np.array_equal(a, b) for a, b in zip(net.biases, biases))
+        assert_same_bytes(express(genome, spec), genome, spec)
 
-    def test_one_cppn_call(self, monkeypatch):
+    @pytest.mark.parametrize("name", SUBSTRATE_NAMES)
+    @pytest.mark.parametrize("make", [
+        constant_fed_genome,
+        lambda: genome_missing_output(7),
+        lambda: genome_missing_output(8),
+        lambda: genome_missing_output(9),
+        dangling_genome,
+        sole_link_genome,
+    ], ids=["constant_fed", "no_weight_link", "no_bias_link", "no_gate_link", "dangling",
+            "sole_link"])
+    def test_corner_genomes_equal_per_pair_queries(self, make, name):
+        genome = make()
+        spec = standard_substrates()[name]
+        assert_same_bytes(express(genome, spec), genome, spec)
+
+    def _spy(self, monkeypatch):
         calls = []
         real = cppn.activate_batch
-        monkeypatch.setattr(cppn, "activate_batch", lambda g, x: calls.append(len(x)) or real(g, x))
-        spec = standard_substrates()["network"]
-        express(minimal_genome(np.random.default_rng(2)), spec)
-        assert calls == [len(spec.query_inputs)]
-        assert len(spec.query_inputs) == 64 * 192 + 192 * 48 + 48 + 192 + 48 + 1
 
-    def test_query_inputs_layout(self):
-        spec = standard_substrates()["template"]
-        rows = spec.query_inputs
-        coords_a = spec.layer_coordinates(0)
-        # the single target node sits at (0, 0, 1)
-        links = np.concatenate([coords_a, np.tile([0.0, 0.0, 1.0, 1.0], (64, 1))], axis=1)
-        assert np.array_equal(rows[:64], links)
-        assert np.array_equal(rows[64:], [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+        def spy(genome, inputs, outputs=cppn.OUTPUT_IDS):
+            calls.append((inputs, outputs))
+            return real(genome, inputs, outputs)
+
+        monkeypatch.setattr(cppn, "activate_batch", spy)
+        express(minimal_genome(np.random.default_rng(2)), standard_substrates()["network"])
+        return calls
+
+    def test_one_cppn_call_per_layer_pair_and_one_for_biases(self, monkeypatch):
+        link = (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT)
+        outputs = [outputs for _, outputs in self._spy(monkeypatch)]
+        assert outputs == [link, link, link, (cppn.BIAS_OUTPUT,)]
+
+    def test_no_link_table_built(self, monkeypatch):
+        # seven columns per call, none longer than the network's largest layer (192)
+        sizes = [(len(inputs), max(np.size(c) for c in inputs)) for inputs, _ in self._spy(monkeypatch)]
+        assert sizes == [(7, 192), (7, 192), (7, 48), (7, 192 + 48 + 1)]
 
 
 class TestQueryCache:
     def test_queries_match_per_layer_construction(self):
         spec = standard_substrates()["network"]
-        rows = spec.query_inputs
-        assert np.array_equal(rows[:, 6], np.ones(len(rows)))
-        start = 0
-        for i in range(len(spec.layers) - 1):
+        for i, columns in enumerate(spec.link_columns):
             coords_a, coords_b = spec.layer_coordinates(i), spec.layer_coordinates(i + 1)
-            n = len(coords_a) * len(coords_b)
-            assert np.array_equal(rows[start:start + n, :3], np.repeat(coords_a, len(coords_b), axis=0))
-            assert np.array_equal(rows[start:start + n, 3:6], np.tile(coords_b, (len(coords_a), 1)))
-            start += n
-        for i in range(1, len(spec.layers)):
-            coords = spec.layer_coordinates(i)
-            assert np.array_equal(rows[start:start + len(coords), :3], coords)
-            assert not rows[start:start + len(coords), 3:6].any()
-            start += len(coords)
-        assert start == len(rows)
+            shape = (len(coords_a), len(coords_b))
+            rows = np.stack([np.broadcast_to(c, shape).ravel() for c in columns], axis=1)
+            assert np.array_equal(rows[:, :3], np.repeat(coords_a, len(coords_b), axis=0))
+            assert np.array_equal(rows[:, 3:6], np.tile(coords_b, (len(coords_a), 1)))
+            assert np.array_equal(rows[:, 6], np.ones(len(rows)))
+        coords = np.concatenate([spec.layer_coordinates(i) for i in range(1, len(spec.layers))])
+        rows = np.stack([np.broadcast_to(c, len(coords)) for c in spec.bias_columns], axis=1)
+        assert np.array_equal(rows[:, :3], coords)
+        assert not rows[:, 3:6].any()
+        assert np.array_equal(rows[:, 6], np.ones(len(rows)))
 
     def test_built_once_per_spec(self):
-        spec = standard_substrates()["template"]
-        rows = spec.query_inputs
-        assert spec.query_inputs is rows
-        assert not rows.flags.writeable
-
+        spec = standard_substrates()["network"]
+        links, biases = spec.link_columns, spec.bias_columns
+        assert spec.link_columns is links and spec.bias_columns is biases
+        arrays = [c for block in links + (biases,) for c in block if isinstance(c, np.ndarray)]
+        # four coordinate columns per pair, but the one-node output layer's are floats
+        assert len(arrays) == 3 * 4 - 2 + 3
+        assert not any(a.flags.writeable for a in arrays)
