@@ -326,11 +326,13 @@ def _load_pattern(args):
 
 
 def _cmd_evaluate(args) -> int:
+    (section,) = _config_sections(args.config, "eval")
+    config = _build_config(EvalConfig, "eval", section,
+                           {"k": args.k, "alpha": args.alpha, "dropout_enabled": False})
     corpus = load_corpus(args.corpus, (args.split,))
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
     net = _load_pattern(args)
-    config = EvalConfig(k=args.k, alpha=args.alpha, dropout_enabled=False)
     report = fitness(net, corpus[args.split], config)
     sys.stdout.write(report.to_text())
     if args.out:
@@ -395,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, help=".net phenotype or .cppn genome file")
     p.add_argument("--substrate", default="network", help="used when --pattern is a genome")
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--alpha", type=float, default=100000.0)
+    p.add_argument("--k", type=int, help="return horizon in trading days")
+    p.add_argument("--alpha", type=float, help="match-count penalty scale")
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -23,19 +23,19 @@ The stacked product may sum a network's terms in another order than
 :func:`fitness`'s ``X @ w``, so the two agree up to summation order: only
 an output within a few ulps of zero can fall on the other side.
 
-A ReLU network with a hidden layer is scored by :func:`positive_outputs`
-in float32, beside an a-priori bound on each row's float32 error,
-``c * u32 * (|x| . v + beta)`` (Higham, *Accuracy and Stability of
-Numerical Algorithms*, ch. 3): ``v`` and ``beta`` come from one backward
-pass of the absolute kept weights and biases, ReLU is 1-Lipschitz, and
-``c`` is twice the count of roundings on any path.  A row whose float32
-output lies outside its bound has float64's sign; every other row
-(``|out32| <= bound``, or a non-finite value) is re-run through the
-float64 :func:`forward_output`.  A float64 pass over a subset of rows may
-sum in another order than the pass over all rows, so those rows' flags
-equal the full float64 pass up to summation order, as above.  Nets with
-no live hidden unit, and nets whose values float32 cannot hold, run in
-float64 on every row.
+Hidden units are ReLU.  A network with a hidden layer is scored by
+:func:`positive_outputs` in float32, beside an a-priori bound on each
+row's float32 error, ``c * u32 * (|x| . v + beta)`` (Higham, *Accuracy
+and Stability of Numerical Algorithms*, ch. 3): ``v`` and ``beta`` come
+from one backward pass of the absolute kept weights and biases, ReLU is
+1-Lipschitz, and ``c`` is twice the count of roundings on any path.  A
+row whose float32 output lies outside its bound has float64's sign;
+every other row (``|out32| <= bound``, or a non-finite value) is re-run
+through the float64 :func:`forward_output`.  A float64 pass over a
+subset of rows may sum in another order than the pass over all rows, so
+those rows' flags equal the full float64 pass up to summation order, as
+above.  Nets with no live hidden unit, and nets whose values float32
+cannot hold, run in float64 on every row.
 """
 from __future__ import annotations
 
@@ -101,7 +101,7 @@ class DatasetTensors:
 
     @functools.cached_property
     def X32(self) -> np.ndarray:
-        """``float32_with_ones(X)``, built once, when a hidden-layer ReLU net first needs it."""
+        """``float32_with_ones(X)``, built once, when a hidden-layer net first needs it."""
         X32 = float32_with_ones(self.X)
         X32.setflags(write=False)
         return X32
@@ -138,31 +138,21 @@ class DatasetTensors:
         return cls(dataset.split, k, X, returns, limit)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def live_units(
     net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None = None
 ) -> list[np.ndarray]:
     """Boolean mask per layer of the units that can change the output.
 
-    A hidden unit is dead when dropout zeroes it, when it is a ReLU unit
-    with no non-zero weight from a live unit and a bias <= 0 (it always
-    outputs 0), or when it has no non-zero weight into a live unit of
-    the next layer.  Inputs and the output are always live.
+    A hidden unit is dead when dropout zeroes it, when it has no non-zero
+    weight from a live unit and a bias <= 0 (its ReLU always outputs 0),
+    or when it has no non-zero weight into a live unit of the next layer.
+    Inputs and the output are always live.
     """
     weights = net.weights
     live = [np.ones(weights[0].shape[0], dtype=bool)]
     for i in range(net.n_hidden_layers):
         keep = np.ones(weights[i].shape[1], dtype=bool) if masks is None else masks[i] != 0.0
-        if net.activation == "relu":
-            keep &= (weights[i][live[i]] != 0.0).any(axis=0) | (net.biases[i] > 0.0)
+        keep &= (weights[i][live[i]] != 0.0).any(axis=0) | (net.biases[i] > 0.0)
         live.append(keep)
     live.append(np.ones(weights[-1].shape[1], dtype=bool))
     for i in range(net.n_hidden_layers, 0, -1):
@@ -216,10 +206,7 @@ def forward_output(
     for i, (w, b) in enumerate(zip(weights[:-1], biases)):
         pre = h @ w
         pre += b
-        if net.activation == "sigmoid":
-            pre = _stable_sigmoid(pre)
-        else:
-            np.maximum(pre, 0.0, out=pre)
+        np.maximum(pre, 0.0, out=pre)
         if kept_masks is not None:
             pre *= kept_masks[i]
         h = pre
@@ -279,10 +266,6 @@ def _float32_output(X32: np.ndarray, weights: list, biases: list) -> np.ndarray:
     return out
 
 
-def _runs_float32(net: PhenotypeNetwork) -> bool:
-    return net.activation == "relu" and net.n_hidden_layers > 0
-
-
 def positive_outputs(
     net: PhenotypeNetwork,
     X: np.ndarray,
@@ -293,7 +276,7 @@ def positive_outputs(
 
     ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
     is: its cached ``X32``, ``x_max`` and ``abs_X32`` are used, else they
-    are built here when needed.  A ReLU network with a live hidden unit
+    are built here when needed.  A network with a live hidden unit
     runs its live sub-network in float32, with the first bias in the
     ones column and each dropout mask folded into the next layer's
     weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``).  A row
@@ -302,12 +285,12 @@ def positive_outputs(
     sign; every other row (NaN compares false) is re-run through
     :func:`forward_output`.  Those float64 rows can round in another order
     than a pass over all rows, so a row within a few float64 ulps of zero
-    may take the other sign.  Sigmoid networks, networks with no hidden
-    layer or no live hidden unit, and networks float32 cannot hold run
+    may take the other sign.  Networks with no hidden layer or no live
+    hidden unit, and networks float32 cannot hold, run
     :func:`forward_output` on every row.
     """
     _check_inputs(net, X, masks)
-    if not _runs_float32(net):
+    if not net.n_hidden_layers:
         return forward_output(net, X, masks) > 0.0
     live = live_units(net, masks)
     if not all(keep.any() for keep in live[1:-1]):

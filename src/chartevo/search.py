@@ -57,8 +57,6 @@ CHECKPOINT_ERRORS = (AttributeError, LookupError, OverflowError, TypeError, Valu
 @dataclass(frozen=True)
 class SearchOptions:
     substrate: str = "network"
-    activation: str = "relu"
-    scaling: str = "he"
     validate_every_generation: bool = False
     checkpoint_every: int = 0  # generations between checkpoints; 0 disables
 
@@ -148,10 +146,7 @@ def run_search(
     total_generations = max(1, evolution_config.generations)
     zero_streak = sum(1 for _ in itertools.takewhile(_matched_nothing, reversed(run.history)))
     for g in range(evo.generation, total_generations):
-        nets = [
-            express(genome, spec, scaling=options.scaling, activation=options.activation)
-            for genome in evo.population
-        ]
+        nets = [express(genome, spec) for genome in evo.population]
         reports = evaluate_population(nets, tensors["training"], train_config, generation=g)
         fits = [r.fitness for r in reports]
         best = max(range(len(fits)), key=lambda i: (fits[i], -i))
@@ -160,6 +155,8 @@ def run_search(
         validation_fitness = None
         if options.validate_every_generation and "validation" in tensors:
             validation_fitness = fitness(nets[best], tensors["validation"], clean_config).fitness
+        # free this generation's phenotypes before the next one is expressed
+        del nets
 
         stats = evo.advance(fits, reproduce_population=g < total_generations - 1)
         run.history.append(
@@ -196,7 +193,7 @@ def run_search(
             path = os.path.join(checkpoint_dir, f"checkpoint_g{g + 1:04d}.json")
             save_checkpoint(path, evo, run, configs, tensors)
 
-    run.selected = _select_pattern(run, spec, tensors, clean_config, options)
+    run.selected = _select_pattern(run, spec, tensors, clean_config)
     return run
 
 
@@ -205,17 +202,13 @@ def _select_pattern(
     spec: SubstrateSpec,
     tensors: Mapping[str, DatasetTensors],
     clean_config: EvalConfig,
-    options: SearchOptions,
 ) -> SelectedPattern:
     """Re-score distinct champions on validation, keep the best, test it once."""
     distinct: dict[tuple, ChampionRecord] = {}
     for champ in run.champions:
         distinct.setdefault(champ.genome.signature(), champ)
     candidates = list(distinct.values())
-    nets = {
-        id(c): express(c.genome, spec, scaling=options.scaling, activation=options.activation)
-        for c in candidates
-    }
+    nets = {id(c): express(c.genome, spec) for c in candidates}
     if "validation" in tensors:
         scored = [
             (fitness(nets[id(c)], tensors["validation"], clean_config).fitness, c.generation, c)
@@ -297,7 +290,12 @@ def load_checkpoint(
         if set(document) != CHECKPOINT_MEMBERS:
             raise ValueError(f"members are {sorted(document)}, expected {sorted(CHECKPOINT_MEMBERS)}")
         for section, config in configs.items():
-            for name, value in asdict(config).items():
+            fields = asdict(config)
+            for name, saved in document["config"][section].items():
+                if name not in fields:
+                    raise ConfigError(f"checkpoint was made with {section}.{name}={saved!r}, "
+                                      f"which this chartevo does not have")
+            for name, value in fields.items():
                 saved = document["config"][section][name]
                 if saved != value:
                     raise ConfigError(f"checkpoint was made with {section}.{name}={saved!r}, "

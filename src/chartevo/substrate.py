@@ -9,8 +9,8 @@ queries are the product of its source and target coordinates, so the
 CPPN is evaluated on the two sides' coordinate columns and widened to
 the (source, target) grid only where a sum first mixes them; each pair
 asks only for the weight and gate outputs, and one more query asks for
-every bias.  Expressed weights can then be rescaled per target node to
-keep forward variance in check.
+every bias.  Expressed weights are then rescaled per target node (He
+scaling) to keep the forward variance of the ReLU phenotype in check.
 """
 from __future__ import annotations
 
@@ -24,6 +24,8 @@ from .types import ConfigError
 
 PHENOTYPE_MAGIC = "chartevo-phenotype"
 PHENOTYPE_VERSION = 1
+# the format's second line; hidden units are always ReLU
+PHENOTYPE_ACTIVATION = "activation relu"
 
 LINK_OUTPUTS = (cppn.WEIGHT_OUTPUT, cppn.LEO_OUTPUT)
 BIAS_OUTPUTS = (cppn.BIAS_OUTPUT,)
@@ -138,33 +140,30 @@ def standard_substrates() -> dict[str, SubstrateSpec]:
 
 @dataclass(frozen=True)
 class PhenotypeNetwork:
-    """Dense layered feed-forward net produced by expressing one genome."""
+    """Dense layered feed-forward net produced by expressing one genome.
+
+    Hidden units are ReLU.  The network takes ownership of the arrays it
+    is given: float64 arrays are not copied, only marked read-only.
+    """
 
     weights: tuple[np.ndarray, ...]  # one (n_in, n_out) matrix per layer pair
     biases: tuple[np.ndarray, ...]  # one (n_out,) vector per non-input layer
-    activation: str  # hidden-layer nonlinearity: relu | sigmoid
 
     def __post_init__(self) -> None:
-        if self.activation not in ("relu", "sigmoid"):
-            raise ConfigError(f"unsupported activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("need one weight matrix and bias vector per layer pair")
-        frozen_w = []
-        frozen_b = []
-        for w, b in zip(self.weights, self.biases):
-            w = np.array(w, dtype=np.float64, copy=True)
-            b = np.array(b, dtype=np.float64, copy=True)
+        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
+        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        for w, b in zip(weights, biases):
             if w.ndim != 2 or b.shape != (w.shape[1],):
                 raise ValueError("weight/bias shape mismatch")
             w.setflags(write=False)
             b.setflags(write=False)
-            frozen_w.append(w)
-            frozen_b.append(b)
-        for a, b_ in zip(frozen_w, frozen_w[1:]):
-            if a.shape[1] != b_.shape[0]:
+        for a, b in zip(weights, weights[1:]):
+            if a.shape[1] != b.shape[0]:
                 raise ValueError("adjacent weight matrices do not chain")
-        object.__setattr__(self, "weights", tuple(frozen_w))
-        object.__setattr__(self, "biases", tuple(frozen_b))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -190,20 +189,13 @@ def he_scale(weights: np.ndarray, expressed: np.ndarray) -> np.ndarray:
     return weights * factors[np.newaxis, :]
 
 
-def express(
-    genome: cppn.CppnGenome,
-    spec: SubstrateSpec,
-    *,
-    scaling: str = "he",
-    activation: str = "relu",
-) -> PhenotypeNetwork:
+def express(genome: cppn.CppnGenome, spec: SubstrateSpec) -> PhenotypeNetwork:
     """Query the genome over every adjacent-layer pair and bias coordinate.
 
     One column-form CPPN call per layer pair asks for the weight and gate
-    outputs; one more asks for every bias.
+    outputs; one more asks for every bias.  Expressed weights are
+    He-scaled per target node.
     """
-    if scaling not in ("he", "none"):
-        raise ConfigError(f"unsupported scaling {scaling!r}")
     sizes = spec.layer_sizes
     weights = []
     for columns, shape in zip(spec.link_columns, zip(sizes, sizes[1:])):
@@ -211,10 +203,7 @@ def express(
         expressed = gate > 0.0
         if np.shape(expressed) != shape:  # the gate reads one side or neither
             expressed = np.broadcast_to(expressed, shape)
-        w = np.where(expressed, weight, 0.0)
-        if scaling == "he":
-            w = he_scale(w, expressed)
-        weights.append(w)
+        weights.append(he_scale(np.where(expressed, weight, 0.0), expressed))
     (bias,) = cppn.activate_batch(genome, spec.bias_columns, BIAS_OUTPUTS)
     if np.ndim(bias) == 0:  # the bias reads no coordinate, or there is one node
         bias = np.full(sum(sizes[1:]), bias)
@@ -223,12 +212,12 @@ def express(
     for n_b in sizes[1:]:
         biases.append(bias[start:start + n_b])
         start += n_b
-    return PhenotypeNetwork(tuple(weights), tuple(biases), activation)
+    return PhenotypeNetwork(tuple(weights), tuple(biases))
 
 
 def phenotype_to_text(net: PhenotypeNetwork) -> str:
     lines = [f"{PHENOTYPE_MAGIC} {PHENOTYPE_VERSION}"]
-    lines.append(f"activation {net.activation}")
+    lines.append(PHENOTYPE_ACTIVATION)
     lines.append("layers " + " ".join(str(s) for s in net.layer_sizes))
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         lines.append(f"weights {i}")
@@ -243,9 +232,10 @@ def phenotype_from_text(text: str) -> PhenotypeNetwork:
     """Parse a document written by :func:`phenotype_to_text`.
 
     Any malformation raises ``ValueError`` naming the line: a missing or
-    mangled section header, a row with the wrong number of values, a
-    missing activation, or a document cut short (the writer always ends
-    with a newline, so a cut inside the last number is caught too).
+    mangled section header, a row with the wrong number of values, an
+    activation line other than ``activation relu``, or a document cut
+    short (the writer always ends with a newline, so a cut inside the
+    last number is caught too).
     """
     if not text.endswith("\n"):
         raise ValueError("document is truncated (no final newline)")
@@ -271,10 +261,8 @@ def phenotype_from_text(text: str) -> PhenotypeNetwork:
 
     if take("the header") != [PHENOTYPE_MAGIC, str(PHENOTYPE_VERSION)]:
         raise ValueError(f"not a {PHENOTYPE_MAGIC} version {PHENOTYPE_VERSION} document")
-    words = take("the activation")
-    if len(words) != 2 or words[0] != "activation":
-        raise ValueError(f"line {pos}: expected 'activation <name>'")
-    activation = words[1]
+    if take("the activation") != PHENOTYPE_ACTIVATION.split():
+        raise ValueError(f"line {pos}: expected {PHENOTYPE_ACTIVATION!r}")
     words = take("the layer sizes")
     if words[:1] != ["layers"]:
         raise ValueError(f"line {pos}: expected 'layers <size> <size> ...'")
@@ -290,4 +278,4 @@ def phenotype_from_text(text: str) -> PhenotypeNetwork:
         biases.append(np.array(values(n_out, f"biases {i}")))
     if pos != len(lines):
         raise ValueError(f"line {pos + 1}: unexpected content after the last layer")
-    return PhenotypeNetwork(tuple(weights), tuple(biases), activation)
+    return PhenotypeNetwork(tuple(weights), tuple(biases))

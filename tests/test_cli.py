@@ -155,7 +155,7 @@ class TestDiagnostics:
         pattern = tmp_path / "p.net"
         # build a trivially valid phenotype to get past parsing
         from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
-        net = PhenotypeNetwork((np.zeros((64, 1)),), (np.zeros(1),), "relu")
+        net = PhenotypeNetwork((np.zeros((64, 1)),), (np.zeros(1),))
         pattern.write_text(phenotype_to_text(net))
         code = main(["evaluate", "--corpus", str(partial), "--pattern", str(pattern),
                      "--split", "test", "--k", "20"])
@@ -359,6 +359,18 @@ class TestSearchCommand:
         assert "chartevo-fitness" in out
         assert "match_count" in out
 
+    def test_evaluate_reads_eval_section(self, pipeline, run_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eval": {"k": 20}}))
+
+        def report(*args):
+            assert main(["evaluate", "--corpus", str(pipeline["corpus"]),
+                         "--pattern", str(run_dir / "pattern.net"), *args]) == 0
+            return capsys.readouterr().out
+
+        assert report("--config", str(cfg)) == report("--k", "20")
+        assert report("--config", str(cfg), "--k", "5") == report("--k", "5")
+
     def test_evaluate_genome_needs_substrate(self, pipeline, run_dir, capsys):
         code = main(["evaluate", "--corpus", str(pipeline["corpus"]),
                      "--pattern", str(run_dir / "pattern.cppn"),
@@ -404,6 +416,20 @@ def test_truncated_pattern_gives_one_error_line(pipeline, run_dir, truncation_di
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")
+
+
+def test_sigmoid_pattern_gives_one_error_line(pipeline, run_dir, tmp_path):
+    pattern = tmp_path / "sigmoid.net"
+    text = (run_dir / "pattern.net").read_text()
+    pattern.write_text(text.replace("\nactivation relu\n", "\nactivation sigmoid\n", 1))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--corpus", str(pipeline["corpus"]),
+                     "--pattern", str(pattern), "--split", "validation", "--k", "20"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: cannot parse pattern file")
+    assert "activation relu" in lines[0]
 
 
 @given(data=st.data())
@@ -480,6 +506,8 @@ MALFORMED_INPUTS = {
         "preprocess", lambda p, c: c["preprocess"]["split_ranges"].update(training=["2012-01-01"])),
     "split_ranges is a number": ("preprocess", _set_config("preprocess", "split_ranges", 5)),
     "evolution section is a list": ("search", _set_config(None, "evolution", [])),
+    "search.activation": ("search", _set_config("search", "activation", "sigmoid")),
+    "search.scaling": ("search", _set_config("search", "scaling", "none")),
 }
 
 
@@ -566,9 +594,21 @@ def test_version_1_checkpoint_gives_one_error_line(pipeline, checkpoint, tmp_pat
     (["--population", "30"], "evolution.population_size"),
     (["--substrate", "network"], "search.substrate"),
     (["--population", "30", "--substrate", "network"], "evolution.population_size"),
+    # no changed argument: the checkpoint saves a field this chartevo does not have
+    ([], "search.activation"),
+    ([], "search.scaling"),
 ])
-def test_resume_with_changed_config_gives_one_error_line(pipeline, checkpoint, args, field):
-    code, lines = _resume(pipeline, checkpoint, checkpoint["path"], *args)
+def test_resume_with_changed_config_gives_one_error_line(pipeline, checkpoint, tmp_path,
+                                                         args, field):
+    path = checkpoint["path"]
+    if not args:
+        state = json.loads(path.read_text())
+        section, name = field.split(".")
+        # the values of the deleted options that no longer reproduce a run
+        state["config"][section][name] = "sigmoid" if name == "activation" else "none"
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps(state) + "\n")
+    code, lines = _resume(pipeline, checkpoint, path, *args)
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("chartevo: ")
     assert f"checkpoint was made with {field}=" in lines[0]

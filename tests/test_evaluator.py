@@ -39,10 +39,10 @@ def make_dataset(values, returns, horizons=(5, 10), limit=False, split="training
     )
 
 
-def random_net(rng, sizes=(4, 6, 3, 1), activation="relu"):
+def random_net(rng, sizes=(4, 6, 3, 1)):
     ws = tuple(rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:]))
     bs = tuple(rng.normal(size=b) for b in sizes[1:])
-    return PhenotypeNetwork(ws, bs, activation)
+    return PhenotypeNetwork(ws, bs)
 
 
 def random_dataset(rng, n, steps=2, horizons=(5, 10), split="training"):
@@ -67,13 +67,7 @@ def scalar_forward(net, x, masks=None):
         ]
         if li == last:
             return pre[0]
-        if net.activation == "sigmoid":
-            h = [
-                1.0 / (1.0 + math.exp(-p)) if p >= 0 else math.exp(p) / (1.0 + math.exp(p))
-                for p in pre
-            ]
-        else:
-            h = [p if p > 0.0 else 0.0 for p in pre]
+        h = [p if p > 0.0 else 0.0 for p in pre]
         if masks is not None:
             h = [v * m for v, m in zip(h, masks[li])]
 
@@ -156,12 +150,11 @@ class TestTensors:
 class TestForward:
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(1)
-        for activation in ("relu", "sigmoid"):
-            net = random_net(rng, activation=activation)
-            X = rng.normal(size=(20, 4))
-            out = forward_output(net, X)
-            for i in range(20):
-                assert out[i] == pytest.approx(scalar_forward(net, X[i]), rel=1e-9, abs=1e-12)
+        net = random_net(rng)
+        X = rng.normal(size=(20, 4))
+        out = forward_output(net, X)
+        for i in range(20):
+            assert out[i] == pytest.approx(scalar_forward(net, X[i]), rel=1e-9, abs=1e-12)
 
     def test_masks_applied_to_hidden_layers(self):
         rng = np.random.default_rng(3)
@@ -194,21 +187,18 @@ def dense_forward(net, X, masks=None):
         pre = h @ w + b
         if i == len(net.weights) - 1:
             return pre[:, 0]
-        if net.activation == "sigmoid":
-            h = np.exp(-np.logaddexp(0.0, -pre))
-        else:
-            h = np.maximum(pre, 0.0)
+        h = np.maximum(pre, 0.0)
         if masks is not None:
             h = h * masks[i]
 
 
-def sparse_net(rng, n_hidden, activation, dead_layer):
+def sparse_net(rng, n_hidden, dead_layer):
     """Random sparse net, 6 inputs, with every kind of dead or constant unit.
 
     First hidden layer: unit 0 has no input and bias <= 0, unit 1 no input
     and bias > 0, unit 2 no output.  Second hidden layer (if any): unit 0
     is fed only by unit 0 above.  ``dead_layer`` picks one hidden layer to
-    kill outright, by starving it (ReLU) or by cutting its outputs.
+    kill outright, by starving it or by cutting its outputs.
     """
     sizes = [6] + [int(rng.integers(3, 9)) for _ in range(n_hidden)] + [1]
     ws = [rng.normal(size=(a, b)) * (rng.random((a, b)) < 0.5)
@@ -224,16 +214,16 @@ def sparse_net(rng, n_hidden, activation, dead_layer):
         bs[1][0] = -abs(bs[1][0])
     if dead_layer is not None:
         layer = dead_layer % n_hidden
-        if activation == "relu" and rng.random() < 0.5:
+        if rng.random() < 0.5:
             ws[layer][:] = 0.0
             bs[layer] = -np.abs(bs[layer])
         else:
             ws[layer + 1][:] = 0.0
-    return PhenotypeNetwork(tuple(ws), tuple(bs), activation)
+    return PhenotypeNetwork(tuple(ws), tuple(bs))
 
 
 class TestPrunedForward:
-    def _hand_net(self, activation="relu"):
+    def _hand_net(self):
         w0 = np.array([[0.0, 0.0, 1.0, 1.0],
                        [0.0, 0.0, -1.0, 2.0],
                        [0.0, 0.0, 0.5, 0.5]])
@@ -244,7 +234,7 @@ class TestPrunedForward:
         w2 = np.array([[1.0], [1.0], [0.0]])
         b0 = np.array([0.0, 0.5, 0.1, 0.1])
         b1 = np.array([-0.1, 0.0, 0.0])
-        return PhenotypeNetwork((w0, w1, w2), (b0, b1, np.array([0.2])), activation)
+        return PhenotypeNetwork((w0, w1, w2), (b0, b1, np.array([0.2])))
 
     def test_live_units_relu(self):
         live = live_units(self._hand_net())
@@ -257,21 +247,15 @@ class TestPrunedForward:
         assert [m.tolist() for m in live[1:3]] == [[False, True, False, False],
                                                   [False, True, False]]
 
-    def test_live_units_sigmoid_keeps_constant_units(self):
-        live = live_units(self._hand_net("sigmoid"))
-        assert [m.tolist() for m in live[1:3]] == [[True, True, False, True],
-                                                  [True, True, False]]
-
     @given(
         seed=st.integers(0, 2**31 - 1),
         n_hidden=st.integers(1, 3),
-        activation=st.sampled_from(["relu", "sigmoid"]),
         dropout=st.booleans(),
         dead_layer=st.one_of(st.none(), st.integers(0, 2)),
     )
-    def test_matches_dense_reference(self, seed, n_hidden, activation, dropout, dead_layer):
+    def test_matches_dense_reference(self, seed, n_hidden, dropout, dead_layer):
         rng = np.random.default_rng(seed)
-        net = sparse_net(rng, n_hidden, activation, dead_layer)
+        net = sparse_net(rng, n_hidden, dead_layer)
         masks = dropout_masks(net, 0.6, rng) if dropout else None
         X = rng.normal(size=(40, 6))
         limit = rng.random(40) < 0.1
@@ -315,20 +299,20 @@ class TestCertifiedSigns:
     )
     def test_equals_dense_reference(self, seed, n_hidden, dropout, dead_layer, values):
         rng = np.random.default_rng(seed)
-        net = sparse_net(rng, n_hidden, "relu", dead_layer)
+        net = sparse_net(rng, n_hidden, dead_layer)
         n = 200
         if values == "dyadic":
             # multiples of 1/8 with masks of 2: every float64 sum is exact in any order
             snap = [np.round(a * 8.0) / 8.0 for a in (*net.weights, *net.biases)]
             net = PhenotypeNetwork(tuple(snap[:len(net.weights)]),
-                                   tuple(snap[len(net.weights):]), "relu")
+                                   tuple(snap[len(net.weights):]))
             masks = dropout_masks(net, 0.5, rng) if dropout else None
             X = dyadic(rng, (n, 6), 2)
             X[1:40] = X[0] + dyadic(rng, (39, 6), 1) * (rng.random((39, 1)) < 0.5)
         else:
             if values == "huge":
                 # float32 overflows, float64 does not
-                net = PhenotypeNetwork(tuple(w * 1e20 for w in net.weights), net.biases, "relu")
+                net = PhenotypeNetwork(tuple(w * 1e20 for w in net.weights), net.biases)
             masks = dropout_masks(net, 0.6, rng) if dropout else None
             X = rng.normal(size=(n, 6))
             # rows 1..99 lie within 1e-12..1e-3 of row 0, on both sides
@@ -336,7 +320,7 @@ class TestCertifiedSigns:
             X[1:100] = X[0] + t * rng.normal(size=6)
         # put row 0 on the boundary: its output becomes 0, or nearly so
         last = net.biases[-1] - dense_forward(net, X[:1], masks)
-        net = PhenotypeNetwork(net.weights, net.biases[:-1] + (last,), "relu")
+        net = PhenotypeNetwork(net.weights, net.biases[:-1] + (last,))
         limit = rng.random(n) < 0.1
         tensors = DatasetTensors("training", 5, X, np.zeros(n), limit)
 
@@ -370,16 +354,16 @@ class TestCertifiedSigns:
         assert np.array_equal(flags, dense_forward(net, X, masks) > 0.0)
         assert sum(rows) < 20
 
-    @pytest.mark.parametrize("case", ["no_live_hidden", "huge", "huge_input", "sigmoid", "flat"])
+    @pytest.mark.parametrize("case", ["no_live_hidden", "huge", "huge_input", "flat"])
     def test_float64_runs_once_on_every_row(self, monkeypatch, case):
         # a constant output, or a net or input float32 cannot hold, pays for one pass only
         rng = np.random.default_rng(9)
-        net = random_net(rng, sizes=(6, 5, 3, 1), activation="sigmoid" if case == "sigmoid" else "relu")
+        net = random_net(rng, sizes=(6, 5, 3, 1))
         if case == "no_live_hidden":
             net = PhenotypeNetwork((np.zeros((6, 5)),) + net.weights[1:],
-                                   (-np.ones(5),) + net.biases[1:], "relu")
+                                   (-np.ones(5),) + net.biases[1:])
         elif case == "huge":
-            net = PhenotypeNetwork(tuple(w * 1e30 for w in net.weights), net.biases, "relu")
+            net = PhenotypeNetwork(tuple(w * 1e30 for w in net.weights), net.biases)
         elif case == "flat":
             net = random_net(rng, sizes=(6, 1))
         X = rng.normal(size=(50, 6))
@@ -408,7 +392,7 @@ class TestPenalty:
 
 class TestFitness:
     def test_all_zero_network(self):
-        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.zeros(1),), "relu")
+        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.zeros(1),))
         data = random_dataset(np.random.default_rng(8), 20)
         report = fitness(net, data, EvalConfig(k=5))
         assert report.match_count == 0
@@ -416,7 +400,7 @@ class TestFitness:
         assert report.penalty == 1.0
 
     def test_positive_bias_matches_everything_unvetoed(self):
-        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([0.5]),), "relu")
+        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([0.5]),))
         data = make_dataset(np.zeros((4, 2, 2)),
                             [[0.10, np.nan], [0.30, np.nan], [9.99, np.nan], [np.nan, 0.70]],
                             limit=[False, False, True, False])
@@ -427,14 +411,14 @@ class TestFitness:
         assert report.fitness == pytest.approx(0.2 * math.exp(-0.12), rel=1e-12)
 
     def test_limit_hit_vetoes_match(self):
-        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),), "relu")
+        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),))
         data = make_dataset(np.zeros((1, 2, 2)), [[5.0]], (5,), limit=True)
         report = fitness(net, data, EvalConfig(k=5))
         assert report.match_count == 0
         assert report.fitness == 0.0
 
     def test_strictly_positive_output_required(self):
-        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.zeros(1),), "relu")
+        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.zeros(1),))
         data = make_dataset(np.zeros((1, 2, 2)), [[1.0]], (5,))
         flags = match_flags(net, DatasetTensors.from_dataset(data, 5))
         assert not flags[0]
@@ -442,7 +426,7 @@ class TestFitness:
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(9)
         for trial in range(30):
-            net = random_net(rng, activation="relu" if trial % 2 else "sigmoid")
+            net = random_net(rng)
             data = random_dataset(rng, 40)
             config = EvalConfig(k=5, alpha=50.0)
             report = fitness(net, data, config)
@@ -452,7 +436,7 @@ class TestFitness:
             assert report.fitness == pytest.approx(want_fit, rel=1e-9, abs=1e-12)
 
     def test_negative_mean_return_allowed(self):
-        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),), "relu")
+        net = PhenotypeNetwork((np.zeros((4, 1)),), (np.array([1.0]),))
         data = make_dataset(np.zeros((1, 2, 2)), [[-0.4]], (5,))
         report = fitness(net, data, EvalConfig(k=5, alpha=1e5))
         assert report.fitness < 0.0
@@ -558,7 +542,7 @@ class TestStackedScoring:
             # the chart at ``on`` outputs exactly 0.0 unless the bias is shifted
             on = int(rng.integers(n))
             b = -(X[on] @ w) + (dyadic(rng, 1, 1) if rng.random() < 0.5 else 0.0)
-            nets.append(PhenotypeNetwork((w,), (b,), "relu"))
+            nets.append(PhenotypeNetwork((w,), (b,)))
         config = EvalConfig(k=5, alpha=50.0, dropout_enabled=dropout, rng_seed=3)
 
         reports = evaluate_population(nets, tensors, config, generation=2)
@@ -581,7 +565,7 @@ class TestStackedScoring:
         X = rng.normal(size=(n, width))
         returns = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0, size=n)
         tensors = DatasetTensors("training", 5, X, returns, rng.random(n) < 0.2)
-        nets = [PhenotypeNetwork((rng.normal(size=(width, 1)),), (rng.normal(size=1),), "relu")
+        nets = [PhenotypeNetwork((rng.normal(size=(width, 1)),), (rng.normal(size=1),))
                 for _ in range(size)]
         config = EvalConfig(k=5, alpha=50.0)
 

@@ -238,7 +238,7 @@ class TestCheckpointResume:
 
 
 def bias_only_net(bias):
-    return PhenotypeNetwork((np.zeros((64, 1)),), (np.array([bias]),), "relu")
+    return PhenotypeNetwork((np.zeros((64, 1)),), (np.array([bias]),))
 
 
 class TestOverlay:

@@ -114,10 +114,10 @@ class TestHeScale:
 
 class TestExpress:
     def test_constant_genome_uniform_weights(self):
-        net = express(fixed_output_genome(weight_w=0.5), standard_substrates()["template"],
-                      scaling="none")
+        net = express(fixed_output_genome(weight_w=0.5), standard_substrates()["template"])
         assert len(net.weights) == 1
-        assert np.all(net.weights[0] == 0.5)
+        raw = np.full((64, 1), 0.5)
+        assert np.array_equal(net.weights[0], he_scale(raw, np.ones(raw.shape, dtype=bool)))
         assert np.all(net.biases[0] == 0.0)
 
     def test_negative_gate_suppresses_all_links(self):
@@ -130,14 +130,11 @@ class TestExpress:
         assert np.all(net.weights[0] == 0.0)
 
     def test_he_scaling_applied(self):
-        spec = standard_substrates()["template"]
-        raw = express(fixed_output_genome(), spec, scaling="none")
-        scaled = express(fixed_output_genome(), spec, scaling="he")
-        assert np.allclose(scaled.weights[0], raw.weights[0] * np.sqrt(2.0 / 64.0))
+        scaled = express(fixed_output_genome(weight_w=0.5), standard_substrates()["template"])
+        assert np.allclose(scaled.weights[0], 0.5 * np.sqrt(2.0 / 64.0))
 
     def test_bias_uses_constant_slot(self):
-        net = express(fixed_output_genome(weight_bias=0.25),
-                      standard_substrates()["template"], scaling="none")
+        net = express(fixed_output_genome(weight_bias=0.25), standard_substrates()["template"])
         assert np.all(net.biases[0] == 0.25)
 
     def test_matrix_shapes_chain(self):
@@ -171,15 +168,13 @@ class TestExpress:
             ConnectionGene(2, 6, 9, 1.0, True),   # always expressed
         ]
         genome = CppnGenome(tuple(nodes), tuple(conns))
-        net = express(genome, standard_substrates()["network"], scaling="none")
-        w = net.weights[0]
+        spec = standard_substrates()["network"]
+        w = express(genome, spec).weights[0]
         assert len(np.unique(w)) > 1
         # weight is x_src - x_tgt: first input node (x=-1) to first hidden (x=-1)
         assert w[0, 0] == pytest.approx(0.0)
-
-    def test_unknown_scaling_rejected(self):
-        with pytest.raises(ConfigError):
-            express(fixed_output_genome(), standard_substrates()["template"], scaling="bad")
+        raw = spec.layer_coordinates(0)[:, :1] - spec.layer_coordinates(1)[:, 0]
+        assert np.array_equal(w, he_scale(raw, np.ones(raw.shape, dtype=bool)))
 
 
 class TestPhenotypeNetwork:
@@ -188,17 +183,23 @@ class TestPhenotypeNetwork:
         with pytest.raises(ValueError):
             net.weights[0][0, 0] = 9.0
 
+    def test_float64_arrays_not_copied(self):
+        w, b = np.ones((2, 1)), np.zeros(1)
+        net = PhenotypeNetwork((w,), (b,))
+        assert net.weights[0] is w and net.biases[0] is b
+        assert not w.flags.writeable
+
     def test_chain_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PhenotypeNetwork(
                 (np.zeros((4, 3)), np.zeros((2, 1))),
                 (np.zeros(3), np.zeros(1)),
-                "relu",
             )
 
     def test_bad_activation_rejected(self):
-        with pytest.raises(ConfigError):
-            PhenotypeNetwork((np.zeros((2, 1)),), (np.zeros(1),), "tanh")
+        text = self._small_text().replace("activation relu", "activation tanh")
+        with pytest.raises(ValueError, match="line 2: expected 'activation relu'"):
+            phenotype_from_text(text)
 
     def test_text_round_trip_byte_identical(self):
         rng = np.random.default_rng(2)
@@ -210,7 +211,7 @@ class TestPhenotypeNetwork:
             assert np.array_equal(wa, wb)
         for ba, bb in zip(net.biases, again.biases):
             assert np.array_equal(ba, bb)
-        assert again.activation == net.activation
+        assert text.splitlines()[1] == "activation relu"
         assert phenotype_to_text(again) == text
 
     def test_text_rejects_garbage(self):
@@ -219,7 +220,7 @@ class TestPhenotypeNetwork:
 
     def _small_text(self):
         net = PhenotypeNetwork((np.ones((2, 3)), np.ones((3, 1))),
-                               (np.zeros(3), np.zeros(1)), "relu")
+                               (np.zeros(3), np.zeros(1)))
         return phenotype_to_text(net)
 
     @pytest.mark.parametrize("edit", [
@@ -232,6 +233,7 @@ class TestPhenotypeNetwork:
         lambda t: t.replace("1.0 1.0 1.0\n", "1.0 1.0\n", 1),    # short row
         lambda t: t.replace("weights 0\n1.0 1.0 1.0\n", "weights 0\n"),  # row missing
         lambda t: t + "trailing\n",                              # extra content
+        lambda t: t.replace("activation relu", "activation sigmoid"),  # not ReLU
     ])
     def test_text_malformations_raise_value_error(self, edit):
         text = edit(self._small_text())
