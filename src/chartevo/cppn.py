@@ -56,19 +56,35 @@ class NodeGene:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConnectionGene:
+    """One link; a run builds hundreds of thousands, so construction is lean.
+
+    The one chained comparison also refuses NaN; the fields are stored
+    through the slot descriptors, which a frozen class's ``__setattr__``
+    would refuse.
+    """
+
     innovation: int
     src: int
     dst: int
     weight: float
     enabled: bool
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.weight):
-            raise ValueError("connection weight must be finite")
-        if abs(self.weight) > WEIGHT_LIMIT:
-            raise ValueError(f"connection weight {self.weight} outside [-{WEIGHT_LIMIT}, {WEIGHT_LIMIT}]")
+    def __init__(self, innovation: int, src: int, dst: int, weight: float, enabled: bool) -> None:
+        if not -WEIGHT_LIMIT <= weight <= WEIGHT_LIMIT:
+            if not math.isfinite(weight):
+                raise ValueError("connection weight must be finite")
+            raise ValueError(f"connection weight {weight} outside [-{WEIGHT_LIMIT}, {WEIGHT_LIMIT}]")
+        _set_innovation(self, innovation)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_weight(self, weight)
+        _set_enabled(self, enabled)
+
+
+_set_innovation, _set_src, _set_dst, _set_weight, _set_enabled = (
+    ConnectionGene.__dict__[name].__set__ for name in ("innovation", "src", "dst", "weight", "enabled"))
 
 
 @dataclass(frozen=True)
@@ -292,25 +308,30 @@ def clamp_weight(weight: float) -> float:
     return min(WEIGHT_LIMIT, max(-WEIGHT_LIMIT, weight))
 
 
+N_INITIAL_CONNECTIONS = N_INPUTS * len(OUTPUT_IDS)
+
+
 def minimal_genome(rng: np.random.Generator) -> CppnGenome:
     """Fully connected inputs-to-outputs genome with uniform random weights.
 
     Innovation numbers 0..20 are fixed by convention (input-major order),
     so every initial genome shares markers for the same link.
+
+    Draw order: one ``rng.uniform(-1.0, 1.0, 21)`` call and nothing else.
+    Its values are the ones 21 scalar ``uniform(-1.0, 1.0)`` calls would
+    return, weight i going to innovation i, and it leaves the generator
+    in the same state.
     """
     nodes = [NodeGene(i, "input", "linear") for i in INPUT_IDS]
     nodes += [NodeGene(i, "output", "linear") for i in OUTPUT_IDS]
+    weights = iter(rng.uniform(-1.0, 1.0, N_INITIAL_CONNECTIONS).tolist())
     conns = []
     innovation = 0
     for src in INPUT_IDS:
         for dst in OUTPUT_IDS:
-            weight = float(rng.uniform(-1.0, 1.0))
-            conns.append(ConnectionGene(innovation, src, dst, weight, True))
+            conns.append(ConnectionGene(innovation, src, dst, next(weights), True))
             innovation += 1
     return CppnGenome(tuple(nodes), tuple(conns))
-
-
-N_INITIAL_CONNECTIONS = N_INPUTS * len(OUTPUT_IDS)
 
 
 def to_text(genome: CppnGenome) -> str:

@@ -275,21 +275,54 @@ def mutate(
     outright; new links join any non-output node to any non-input node
     without closing a cycle; node insertion splits an enabled link into
     weight-1.0 in and old-weight out, disabling the original.
+
+    Draw order, the same as one scalar call per draw: per gene in
+    innovation order a weight-event check, and for an event a replace
+    check and a uniform value (``uniform(-1, 1)`` or a step in
+    ``uniform(-perturb_half_range, perturb_half_range)``); then the
+    add-connection check; if it fires and a link is possible, ``integers``
+    for the link and ``uniform(-1, 1)`` for its weight; then the add-node
+    check; if it fires, ``integers`` for the link to split and for the
+    activation.  Every double up to the add-connection check is taken
+    from ``rng.random(k)`` blocks, and ``uniform(lo, hi)`` is formed as
+    ``lo + (hi - lo) * u``, numpy's own formula.  A block is never longer
+    than the count of doubles certain to be drawn next, so the values and
+    the generator's state after the call are those of the scalar calls.
     """
     rates = decayed_rates(config, generation)
+    rate = rates["weight_mutation_rate"]
+    replace = config.weight_replace_fraction
+    half = config.perturb_half_range
     changed = structural = False
     conns = list(genome.connections)
+    n = len(conns)
+    # certain from here: one check per gene, then the add-connection check
+    block = rng.random(n + 1).tolist()
+    k = 0
     for i, c in enumerate(conns):
-        if rng.random() < rates["weight_mutation_rate"]:
-            if rng.random() < config.weight_replace_fraction:
-                weight = float(rng.uniform(-1.0, 1.0))
-            else:
-                weight = clamp_weight(c.weight + float(rng.uniform(-config.perturb_half_range,
-                                                                   config.perturb_half_range)))
-            conns[i] = ConnectionGene(c.innovation, c.src, c.dst, weight, c.enabled)
-            changed = True
+        if k == len(block):
+            block, k = rng.random(n - i + 1).tolist(), 0
+        mutates = block[k] < rate
+        k += 1
+        if not mutates:
+            continue
+        if k == len(block):  # certain: this gene's replace check and value
+            block, k = rng.random(n - i + 2).tolist(), 0
+        replaced = block[k] < replace
+        k += 1
+        if k == len(block):
+            block, k = rng.random(n - i + 1).tolist(), 0
+        if replaced:
+            weight = -1.0 + 2.0 * block[k]
+        else:
+            weight = clamp_weight(c.weight + (-half + (half - -half) * block[k]))
+        k += 1
+        conns[i] = ConnectionGene(c.innovation, c.src, c.dst, weight, c.enabled)
+        changed = True
+    # every block ends at the add-connection check, so its value is left
+    add_connection = block[k] < rates["add_connection_rate"]
     nodes = list(genome.nodes)
-    if rng.random() < rates["add_connection_rate"]:
+    if add_connection:
         present = {(c.src, c.dst) for c in conns}
         sources = sorted(n.id for n in nodes if n.role != "output")
         targets = sorted(n.id for n in nodes if n.role != "input")
@@ -338,6 +371,14 @@ def crossover(
     disjoint and excess genes); matching genes take their weight from a
     random parent.  A gene disabled in either parent comes out disabled
     three times out of four.
+
+    Draw order, the same as one scalar ``random()`` per draw: on equal
+    fitness one draw picks the structure's parent; then, per gene of that
+    parent in innovation order, one draw picking a matched gene's parent
+    and one for the enable flag of a gene disabled in either parent.  The
+    draws after the tie-break depend only on the two structures, so one
+    ``rng.random(count)`` call takes them all.  A child gene equal to the
+    gene it copies is that gene, not a new one.
     """
     if fitness_a > fitness_b:
         fitter, other = parent_a, parent_b
@@ -348,17 +389,19 @@ def crossover(
     else:
         fitter, other = parent_b, parent_a
     other_genes = {c.innovation: c for c in other.connections}
+    partners = [other_genes.get(gene.innovation) for gene in fitter.connections]
+    disabled = [not (gene.enabled and (partner is None or partner.enabled))
+                for gene, partner in zip(fitter.connections, partners)]
+    count = len(partners) - partners.count(None) + sum(disabled)
+    draws = iter(rng.random(count).tolist())
     child_conns = []
-    for gene in fitter.connections:
-        partner = other_genes.get(gene.innovation)
-        if partner is None:
-            chosen = gene
-            disabled_somewhere = not gene.enabled
+    for gene, partner, disabled_somewhere in zip(fitter.connections, partners, disabled):
+        chosen = gene if partner is None or next(draws) < 0.5 else partner
+        enabled = not disabled_somewhere or next(draws) >= 0.75
+        if chosen.enabled == enabled and chosen.src == gene.src and chosen.dst == gene.dst:
+            child_conns.append(chosen)
         else:
-            chosen = gene if rng.random() < 0.5 else partner
-            disabled_somewhere = not (gene.enabled and partner.enabled)
-        enabled = True if not disabled_somewhere else bool(rng.random() >= 0.75)
-        child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst, chosen.weight, enabled))
+            child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst, chosen.weight, enabled))
     return CppnGenome._reweighted(fitter, tuple(child_conns))
 
 

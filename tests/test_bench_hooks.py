@@ -43,6 +43,9 @@ def test_pipeline_runs_under_every_hook(tmp_path):
             "validation": ["2013-01-01", "2013-06-30"],
             "test": ["2013-07-01", "2013-12-31"]}},
         "eval": {"k": 20, "alpha": 1000.0},
+        # every offspring gains a hidden node, and from the third generation on
+        # the new-link move has candidates to check for cycles
+        "evolution": {"add_connection_rate": 1.0, "add_node_rate": 1.0},
     }))
     prices, corpus, run = tmp_path / "prices", tmp_path / "corpus", tmp_path / "run"
     common = ["--config", str(config)]
@@ -50,7 +53,7 @@ def test_pipeline_runs_under_every_hook(tmp_path):
         ["synth", "--out", str(prices)],
         ["preprocess", "--prices", str(prices), "--out", str(corpus)],
         ["search", "--corpus", str(corpus), "--out", str(run), "--substrate", "network",
-         "--population", "4", "--generations", "1", "--seed", "1"],
+         "--population", "10", "--generations", "3", "--seed", "1"],
         ["evaluate", "--corpus", str(corpus), "--pattern", str(run / "pattern.net"),
          "--k", "20"],
         # a genome on the template substrate has no hidden layer: forward_output runs
@@ -72,9 +75,12 @@ def test_pipeline_runs_under_every_hook(tmp_path):
     assert codes == [0] * len(commands)
     names = {span[1] for span in tracer.spans}
     assert {"search.run_search", "evaluator.evaluate_population", "evaluator.forward_output",
-            "search.export_overlay", "types.load_dataset", "types.save_dataset"} <= names
+            "search.export_overlay", "types.load_dataset", "types.save_dataset",
+            # later generations are bred, so reproduction and both variation operators run
+            "neat.reproduce", "neat.mutate", "neat.crossover"} <= names
     for count in ("types.charts_loaded", "types.corpus_bytes", "preprocess.charts",
                   "cppn.activate_batch_calls", "substrate.express_calls",
-                  "evaluator.forward_calls", "neat.advance_calls", "types.charts_scored"):
+                  "evaluator.forward_calls", "neat.advance_calls", "types.charts_scored",
+                  "neat.compatibility_calls", "neat.cycle_checks"):
         assert tracer.counts[count] > 0, count
     assert _left_patched(patched) == []

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chartevo.cppn import (
     ConnectionGene,
     CppnGenome,
     NodeGene,
+    WEIGHT_LIMIT,
     activate_batch,
     from_text,
     minimal_genome,
@@ -158,6 +161,112 @@ class TestGenomeValidation:
     def test_weight_limit_enforced(self):
         with pytest.raises(ValueError, match="outside"):
             ConnectionGene(0, 0, 7, 3.5, True)
+
+
+@dataclasses.dataclass(frozen=True)
+class ScalarCheckedGene:
+    """The gene class as it was before its hand-written constructor: the oracle."""
+
+    innovation: int
+    src: int
+    dst: int
+    weight: float
+    enabled: bool
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.weight):
+            raise ValueError("connection weight must be finite")
+        if abs(self.weight) > WEIGHT_LIMIT:
+            raise ValueError(f"connection weight {self.weight} outside [-{WEIGHT_LIMIT}, {WEIGHT_LIMIT}]")
+
+
+ABOVE_LIMIT = math.nextafter(WEIGHT_LIMIT, math.inf)
+gene_fields = st.tuples(
+    st.integers(0, 300), st.integers(0, 12), st.integers(7, 12),
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, WEIGHT_LIMIT, -WEIGHT_LIMIT]) | st.floats(-3.0, 3.0),
+    st.booleans(),
+)
+
+
+class TestConnectionGene:
+    @pytest.mark.parametrize("weight, message", [
+        (math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+        (ABOVE_LIMIT, "outside"), (-ABOVE_LIMIT, "outside"), (np.float64(np.nan), "must be finite"),
+    ])
+    def test_bad_weights_refused_with_the_old_message(self, weight, message):
+        with pytest.raises(ValueError, match=message) as new:
+            ConnectionGene(0, 0, 7, weight, True)
+        with pytest.raises(ValueError) as old:
+            ScalarCheckedGene(0, 0, 7, weight, True)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("weight", [WEIGHT_LIMIT, -WEIGHT_LIMIT, 0.0, -0.0])
+    def test_limit_itself_accepted(self, weight):
+        assert ConnectionGene(0, 0, 7, weight, True).weight is weight
+
+    def test_fields_are_frozen(self):
+        gene = ConnectionGene(0, 0, 7, 0.5, True)
+        for field in dataclasses.fields(gene):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gene, field.name, getattr(gene, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del gene.weight
+        assert gene == ConnectionGene(0, 0, 7, 0.5, True)
+
+    def test_no_instance_dict(self):
+        gene = ConnectionGene(0, 0, 7, 0.5, True)
+        assert not hasattr(gene, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(gene, "extra", 1)
+
+    @given(gene_fields, gene_fields)
+    @settings(max_examples=200)
+    def test_eq_hash_repr_match_the_old_class(self, a, b):
+        new_a, new_b = ConnectionGene(*a), ConnectionGene(*b)
+        old_a, old_b = ScalarCheckedGene(*a), ScalarCheckedGene(*b)
+        assert (new_a == new_b) == (old_a == old_b)
+        assert new_a == ConnectionGene(*a) and hash(new_a) == hash(ConnectionGene(*a))
+        assert hash(new_a) == hash(old_a)
+        assert repr(new_a) == repr(old_a).replace(type(old_a).__qualname__, "ConnectionGene")
+        assert dataclasses.astuple(new_a) == dataclasses.astuple(old_a)
+        assert new_a != old_a  # as before, a gene equals only genes of its own class
+
+    def test_smaller_than_the_old_class(self):
+        def traced_bytes(cls):
+            weights = [0.25 + i * 1e-6 for i in range(1000)]
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                genes = [cls(5, 1, 7, w, True) for w in weights]
+                return tracemalloc.get_traced_memory()[0] - start, genes
+            finally:
+                tracemalloc.stop()
+
+        assert traced_bytes(ConnectionGene)[0] < traced_bytes(ScalarCheckedGene)[0]
+
+
+def scalar_minimal_genome(rng):
+    """The minimal genome as built with one scalar ``uniform`` per weight: the oracle."""
+    nodes = [NodeGene(i, "input", "linear") for i in range(7)]
+    nodes += [NodeGene(i, "output", "linear") for i in (7, 8, 9)]
+    conns = []
+    innovation = 0
+    for src in range(7):
+        for dst in (7, 8, 9):
+            weight = float(rng.uniform(-1.0, 1.0))
+            conns.append(ConnectionGene(innovation, src, dst, weight, True))
+            innovation += 1
+    return CppnGenome(tuple(nodes), tuple(conns))
+
+
+class TestMinimalGenomeDraws:
+    @given(st.integers(0, 2**63 - 1), st.integers(1, 4))
+    @settings(max_examples=100)
+    def test_equals_scalar_draws(self, seed, count):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(count):
+            assert to_text(minimal_genome(rng)) == to_text(scalar_minimal_genome(oracle_rng))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestActivate:

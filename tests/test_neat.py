@@ -7,7 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartevo.cppn import ConnectionGene, CppnGenome, NodeGene, minimal_genome, to_text
+from chartevo import neat
+from chartevo.cppn import (
+    HIDDEN_ACTIVATION_NAMES,
+    ConnectionGene,
+    CppnGenome,
+    NodeGene,
+    adjacency,
+    clamp_weight,
+    minimal_genome,
+    to_text,
+    would_create_cycle,
+)
 from chartevo.evaluator import EvalConfig
 from chartevo.neat import (
     Evolution,
@@ -33,6 +44,7 @@ from chartevo.search import (
     save_checkpoint,
 )
 from chartevo.types import ConfigError
+from test_cppn import scalar_minimal_genome
 
 PAIRS = [(src, dst) for src in range(7) for dst in (7, 8, 9)]
 
@@ -314,6 +326,176 @@ class TestCrossover:
         child = crossover(a, b, 1.0, 1.0, np.random.default_rng(9))
         union = {c.innovation for c in a.connections} | {c.innovation for c in b.connections}
         assert {c.innovation for c in child.connections} <= union
+
+
+def scalar_mutate(genome, config, generation, registry, rng):
+    """``mutate`` with one scalar Generator call per draw: the oracle for its draw stream."""
+    rates = decayed_rates(config, generation)
+    changed = structural = False
+    conns = list(genome.connections)
+    for i, c in enumerate(conns):
+        if rng.random() < rates["weight_mutation_rate"]:
+            if rng.random() < config.weight_replace_fraction:
+                weight = float(rng.uniform(-1.0, 1.0))
+            else:
+                weight = clamp_weight(c.weight + float(rng.uniform(-config.perturb_half_range,
+                                                                   config.perturb_half_range)))
+            conns[i] = ConnectionGene(c.innovation, c.src, c.dst, weight, c.enabled)
+            changed = True
+    nodes = list(genome.nodes)
+    if rng.random() < rates["add_connection_rate"]:
+        present = {(c.src, c.dst) for c in conns}
+        sources = sorted(n.id for n in nodes if n.role != "output")
+        targets = sorted(n.id for n in nodes if n.role != "input")
+        outgoing = adjacency(genome)
+        candidates = [
+            (src, dst)
+            for src in sources
+            for dst in targets
+            if (src, dst) not in present and not would_create_cycle(outgoing, src, dst)
+        ]
+        if candidates:
+            src, dst = candidates[int(rng.integers(len(candidates)))]
+            innovation = registry.connection_innovation(src, dst)
+            conns.append(ConnectionGene(innovation, src, dst, float(rng.uniform(-1.0, 1.0)), True))
+            changed = structural = True
+    if rng.random() < rates["add_node_rate"]:
+        enabled = [i for i, c in enumerate(conns) if c.enabled]
+        if enabled:
+            pick = enabled[int(rng.integers(len(enabled)))]
+            old = conns[pick]
+            node_id, in_innov, out_innov = registry.split(old, {n.id for n in nodes})
+            activation = HIDDEN_ACTIVATION_NAMES[int(rng.integers(len(HIDDEN_ACTIVATION_NAMES)))]
+            nodes.append(NodeGene(node_id, "hidden", activation))
+            conns[pick] = ConnectionGene(old.innovation, old.src, old.dst, old.weight, False)
+            conns.append(ConnectionGene(in_innov, old.src, node_id, 1.0, True))
+            conns.append(ConnectionGene(out_innov, node_id, old.dst, old.weight, True))
+            changed = structural = True
+    if not changed:
+        return genome
+    return CppnGenome(tuple(nodes), tuple(conns))
+
+
+def scalar_crossover(parent_a, parent_b, fitness_a, fitness_b, rng):
+    """``crossover`` with one scalar ``random()`` per draw: the oracle for its draw stream."""
+    if fitness_a > fitness_b:
+        fitter, other = parent_a, parent_b
+    elif fitness_b > fitness_a:
+        fitter, other = parent_b, parent_a
+    elif rng.random() < 0.5:
+        fitter, other = parent_a, parent_b
+    else:
+        fitter, other = parent_b, parent_a
+    other_genes = {c.innovation: c for c in other.connections}
+    child_conns = []
+    for gene in fitter.connections:
+        partner = other_genes.get(gene.innovation)
+        if partner is None:
+            chosen = gene
+            disabled_somewhere = not gene.enabled
+        else:
+            chosen = gene if rng.random() < 0.5 else partner
+            disabled_somewhere = not (gene.enabled and partner.enabled)
+        enabled = True if not disabled_somewhere else bool(rng.random() >= 0.75)
+        child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst, chosen.weight, enabled))
+    return CppnGenome(fitter.nodes, tuple(child_conns))
+
+
+def grown_genomes(count, seed, growth, disable_fraction, keep_fraction):
+    """``count`` relatives of one minimal genome, each grown by ``growth`` oracle
+    mutations (hidden nodes, extra links), then with genes disabled or dropped
+    at random; all carry one registry's markers, which is returned too."""
+    rng = np.random.default_rng(seed)
+    registry = InnovationRegistry.primed()
+    grow = quiet_config(weight_mutation_rate=1.0, weight_replace_fraction=0.5,
+                        add_connection_rate=0.5, add_node_rate=0.5)
+    ancestor = scalar_minimal_genome(rng)
+    genomes = []
+    for _ in range(count):
+        g = ancestor
+        for gen in range(growth):
+            g = scalar_mutate(g, grow, gen, registry, rng)
+        conns = tuple(ConnectionGene(c.innovation, c.src, c.dst, c.weight,
+                                     c.enabled and rng.random() >= disable_fraction)
+                      for c in g.connections if rng.random() < keep_fraction)
+        genomes.append(CppnGenome(g.nodes, conns))
+    return genomes, registry
+
+
+genome_shapes = st.tuples(
+    st.integers(0, 2**32 - 1),          # seed
+    st.integers(0, 6),                  # oracle mutations grown
+    st.sampled_from([0.0, 0.3, 1.0]),   # share of genes disabled
+    st.sampled_from([1.0, 0.6, 0.0]),   # share of genes kept
+)
+# base rates of 0, 0.3 and 1; generation 40 decays them by 0.99**40
+variation_configs = st.builds(
+    quiet_config,
+    weight_mutation_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    add_connection_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    add_node_rate=st.sampled_from([0.0, 0.3, 1.0]),
+    weight_replace_fraction=st.sampled_from([0.0, 0.1, 1.0]),
+    perturb_half_range=st.sampled_from([0.5, 2.5]),  # 2.5 often clamps at the weight limit
+    decay_factor=st.just(0.99),
+)
+
+
+class TestExactDrawStream:
+    """Block draws must reproduce the scalar calls bit for bit: the same
+    genome text and the same generator state after every call."""
+
+    @given(genome_shapes, variation_configs, st.sampled_from([0, 40]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_mutate_equals_scalar_oracle(self, shape, cfg, generation, seed):
+        (genome,), registry = grown_genomes(1, *shape)
+        registry_state = registry.state()
+        reg, oracle_reg = (InnovationRegistry.from_state(registry_state) for _ in range(2))
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            child = mutate(genome, cfg, generation, reg, rng)
+            expected = scalar_mutate(genome, cfg, generation, oracle_reg, oracle_rng)
+            assert to_text(child) == to_text(expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert reg.state() == oracle_reg.state()
+            genome = child
+
+    @given(genome_shapes, st.sampled_from([(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=300)
+    def test_crossover_equals_scalar_oracle(self, shape, fitness, seed):
+        (a, b), _ = grown_genomes(2, *shape)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for first, second in ((a, b), (b, a), (a, a)):
+            child = crossover(first, second, *fitness, rng)
+            expected = scalar_crossover(first, second, *fitness, oracle_rng)
+            assert to_text(child) == to_text(expected)
+            assert child == expected
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    # with rare weight events a block one draw too long is not absorbed by later draws
+    @pytest.mark.parametrize("seed, weight_rate", [(3, 0.8), (17, 0.1), (2024, 0.0)])
+    def test_evolution_equals_oracle_driven_run(self, seed, weight_rate, monkeypatch):
+        cfg = quiet_config(population_size=40, generations=8, rng_seed=seed, decay_factor=0.95,
+                           weight_mutation_rate=weight_rate, add_connection_rate=0.4,
+                           add_node_rate=0.2, weight_replace_fraction=0.3)
+
+        def run():
+            evo = Evolution.start(cfg)
+            states = [json.dumps(evolution_state(evo))]
+            for _ in range(cfg.generations):
+                # whole-number fitness: ties inside species and between parents
+                evo.advance([float(round(sum(c.weight for c in g.connections if c.enabled)))
+                             for g in evo.population])
+                states.append(json.dumps(evolution_state(evo)))
+            return states
+
+        fast = run()
+        with monkeypatch.context() as m:
+            m.setattr(neat, "mutate", scalar_mutate)
+            m.setattr(neat, "crossover", scalar_crossover)
+            m.setattr(neat, "minimal_genome", scalar_minimal_genome)
+            oracle = run()
+        assert fast == oracle
 
 
 class TestSpeciate:
