@@ -21,6 +21,7 @@ import datetime
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 
@@ -181,6 +182,14 @@ def _root_seed(args, fell_back: bool) -> int | None:
     return 0 if fell_back else None
 
 
+def _stream_seed_override(args, section: dict, key: str, stream: int) -> int | None:
+    """Seed for config field ``key``: the stream of ``--seed``, else None when the
+    config section sets it, else the stream of root 0."""
+    if args.seed is not None:
+        return stream_seed(args.seed, stream)
+    return None if key in section else stream_seed(0, stream)
+
+
 def write_manifest(out_dir, command: str, configs: dict, seed: int | None, inputs) -> None:
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -219,12 +228,9 @@ def _cmd_synth(args) -> int:
         "n_days": args.days,
         "injection_rate": args.injection_rate,
         "drift": args.drift,
+        "seed": _stream_seed_override(args, section, "seed", SYNTH_STREAM),
     }
     seed = _root_seed(args, "seed" not in section)
-    if args.seed is not None:
-        overrides["seed"] = stream_seed(args.seed, SYNTH_STREAM)
-    elif "seed" not in section:
-        section["seed"] = stream_seed(0, SYNTH_STREAM)
     config = _build_config(SynthConfig, "synth", section, overrides)
     series_list, injections = generate(config)
     write_manifest(args.out, "synth", {"synth": config}, seed, [])
@@ -257,18 +263,13 @@ def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions, i
     evolution_overrides = {
         "population_size": args.population,
         "generations": args.generations,
+        "rng_seed": _stream_seed_override(args, evolution_section, "rng_seed", EVOLUTION_STREAM),
     }
-    if args.seed is not None:
-        evolution_overrides["rng_seed"] = stream_seed(args.seed, EVOLUTION_STREAM)
-    elif "rng_seed" not in evolution_section:
-        evolution_section["rng_seed"] = stream_seed(0, EVOLUTION_STREAM)
-
-    eval_overrides = {"k": args.k, "alpha": args.alpha}
-    if args.seed is not None:
-        eval_overrides["rng_seed"] = stream_seed(args.seed, DROPOUT_STREAM)
-    elif "rng_seed" not in eval_section:
-        eval_section["rng_seed"] = stream_seed(0, DROPOUT_STREAM)
-
+    eval_overrides = {
+        "k": args.k,
+        "alpha": args.alpha,
+        "rng_seed": _stream_seed_override(args, eval_section, "rng_seed", DROPOUT_STREAM),
+    }
     options_overrides = {"substrate": args.substrate}
     evolution_config = _build_config(EvolutionConfig, "evolution", evolution_section,
                                      evolution_overrides)
@@ -310,7 +311,8 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_pattern(args):
+def _load_pattern(args, dataset: Dataset):
+    """The network of ``args.pattern``, checked to fit the charts of ``dataset``."""
     with open(args.pattern, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -319,10 +321,16 @@ def _load_pattern(args):
             substrates = standard_substrates()
             if args.substrate not in substrates:
                 raise ConfigError(f"unknown substrate {args.substrate!r}")
-            return express(genome, substrates[args.substrate])
-        return phenotype_from_text(text)
+            net = express(genome, substrates[args.substrate])
+        else:
+            net = phenotype_from_text(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse pattern file {args.pattern}: {exc}") from exc
+    width = math.prod(dataset.values.shape[1:])
+    if net.layer_sizes[0] != width:
+        raise ConfigError(f"pattern {args.pattern} expects {net.layer_sizes[0]} inputs, "
+                          f"but the {dataset.split} charts have {width} values")
+    return net
 
 
 def _cmd_evaluate(args) -> int:
@@ -332,7 +340,7 @@ def _cmd_evaluate(args) -> int:
     corpus = load_corpus(args.corpus, (args.split,))
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
-    net = _load_pattern(args)
+    net = _load_pattern(args, corpus[args.split])
     report = fitness(net, corpus[args.split], config)
     sys.stdout.write(report.to_text())
     if args.out:
@@ -345,7 +353,7 @@ def _cmd_export_overlay(args) -> int:
     corpus = load_corpus(args.corpus, (args.split,))
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
-    net = _load_pattern(args)
+    net = _load_pattern(args, corpus[args.split])
     count = export_overlay(net, corpus[args.split], args.out)
     print(f"{count} matched charts written to {args.out}")
     return 0

@@ -23,19 +23,20 @@ The stacked product may sum a network's terms in another order than
 :func:`fitness`'s ``X @ w``, so the two agree up to summation order: only
 an output within a few ulps of zero can fall on the other side.
 
-Hidden units are ReLU.  A network with a hidden layer is scored by
-:func:`positive_outputs` in float32, beside an a-priori bound on each
-row's float32 error, ``c * u32 * (|x| . v + beta)`` (Higham, *Accuracy
-and Stability of Numerical Algorithms*, ch. 3): ``v`` and ``beta`` come
-from one backward pass of the absolute kept weights and biases, ReLU is
-1-Lipschitz, and ``c`` is twice the count of roundings on any path.  A
-row whose float32 output lies outside its bound has float64's sign;
-every other row (``|out32| <= bound``, or a non-finite value) is re-run
-through the float64 :func:`forward_output`.  A float64 pass over a
-subset of rows may sum in another order than the pass over all rows, so
-those rows' flags equal the full float64 pass up to summation order, as
-above.  Nets with no live hidden unit, and nets whose values float32
-cannot hold, run in float64 on every row.
+Hidden units are ReLU.  One loop, :func:`_forward`, runs the live
+sub-network of :func:`live_units` in either precision.  A network with a
+hidden layer is scored by :func:`positive_outputs` in float32, beside an
+a-priori bound on each row's float32 error, ``c * u32 * (||x|| * ||v|| +
+beta)``, which by Cauchy-Schwarz covers ``c * u32 * (|x| . v + beta)``
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+``v`` and ``beta`` come from one backward pass of the absolute kept
+weights and biases, ReLU is 1-Lipschitz, and ``c`` is twice the count of
+roundings on any path.  A row whose float32 output lies outside its bound
+has float64's sign; every other row (``|out32| <= bound``, or a
+non-finite value) is re-run in float64, and its flag equals the full
+float64 pass up to summation order, as above.  Nets with no live hidden
+unit, and nets whose values float32 cannot hold, run in float64 on every
+row.
 """
 from __future__ import annotations
 
@@ -107,11 +108,11 @@ class DatasetTensors:
         return X32
 
     @functools.cached_property
-    def abs_X32(self) -> np.ndarray:
-        """``|X32|`` for the error bound of :func:`positive_outputs`, built once."""
-        abs_X32 = np.abs(self.X32)
-        abs_X32.setflags(write=False)
-        return abs_X32
+    def x_norms(self) -> np.ndarray:
+        """Each chart's float64 norm over ``X32`` (ones column left out), for the error bound."""
+        x_norms = _row_norms(self.X32)
+        x_norms.setflags(write=False)
+        return x_norms
 
     @functools.cached_property
     def x_max(self) -> np.float32:
@@ -176,12 +177,42 @@ def _max_magnitude(X32: np.ndarray) -> np.float32:
     return max(X32.max(initial=1.0), -X32.min(initial=0.0))
 
 
+def _row_norms(X32: np.ndarray) -> np.ndarray:
+    """Norm of each chart in ``X32`` (ones column left out), its exact squares summed in float64."""
+    return np.sqrt(np.einsum("ij,ij->i", X32[:, :-1], X32[:, :-1], dtype=np.float64))
+
+
 def _check_inputs(net: PhenotypeNetwork, X: np.ndarray, masks) -> None:
     if X.shape[1] != net.weights[0].shape[0]:
         raise ValueError(f"input width {X.shape[1]} does not fit network "
                          f"expecting {net.weights[0].shape[0]}")
     if masks is not None and len(masks) != net.n_hidden_layers:
         raise ValueError("need exactly one dropout mask per hidden layer")
+
+
+def _live_subnet(net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None) -> tuple:
+    """``(weights, biases, masks)`` of the sub-network of :func:`live_units`."""
+    live = live_units(net, masks)
+    weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
+    biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
+    kept_masks = None if masks is None else [m[keep] for m, keep in zip(masks, live[1:])]
+    return weights, biases, kept_masks
+
+
+def _forward(X: np.ndarray, weights: list, biases: list, masks: list | None = None) -> np.ndarray:
+    """Output column 0 of a ReLU net in the precision of ``X`` and the weights; a first
+    bias of None rides in ``X``'s ones column, and ``masks`` scale hidden layers after ReLU."""
+    h = X
+    for i, (w, b) in enumerate(zip(weights[:-1], biases)):
+        h = h @ w
+        if b is not None:
+            h += b
+        np.maximum(h, 0.0, out=h)
+        if masks is not None:
+            h *= masks[i]
+    out = h @ weights[-1]
+    out += biases[-1]
+    return out[:, 0]
 
 
 def forward_output(
@@ -198,21 +229,7 @@ def forward_output(
     summation order.
     """
     _check_inputs(net, X, masks)
-    live = live_units(net, masks)
-    weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
-    biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
-    kept_masks = None if masks is None else [m[keep] for m, keep in zip(masks, live[1:])]
-    h = X
-    for i, (w, b) in enumerate(zip(weights[:-1], biases)):
-        pre = h @ w
-        pre += b
-        np.maximum(pre, 0.0, out=pre)
-        if kept_masks is not None:
-            pre *= kept_masks[i]
-        h = pre
-    out = h @ weights[-1]
-    out += biases[-1]
-    return out[:, 0]
+    return _forward(X, *_live_subnet(net, masks))
 
 
 def _fits_float32(a: np.ndarray) -> bool:
@@ -220,15 +237,17 @@ def _fits_float32(a: np.ndarray) -> bool:
     return bool(np.all((a == 0.0) | ((a >= F32_TINY) & (a < F32_BIG))))
 
 
-def _error_bound(weights: list, biases: list, x_max: float) -> tuple[np.ndarray, float] | None:
-    """``(v with beta appended, c * u32)`` for the folded sub-network, or None
+def _error_bound(weights: list, biases: list, x_max: float) -> tuple[float, float] | None:
+    """``(c * u32 * ||v||, c * u32 * beta)`` for the folded sub-network, or None
     when float32 cannot hold its pass over inputs up to ``x_max`` in size.
 
-    The output's float32 error is at most ``c * u32 * (|x| . v + beta)``
-    plus ETA32 per underflowing product, carried along to the output
-    (folded into beta).  ``c`` counts the roundings on a path, fan-in plus
-    two per layer plus one for the input, doubled to cover second-order
-    terms, the float64 reference's own error and the bound's float32 sum.
+    The output's float32 error on a chart ``x`` is at most
+    ``c * u32 * (|x| . v + beta)`` plus ETA32 per underflowing product,
+    carried along to the output (folded into beta); by Cauchy-Schwarz that
+    is at most ``c * u32 * (||x|| * ||v|| + beta)``.  ``c`` counts the
+    roundings on a path, fan-in plus two per layer plus one for the input,
+    doubled to cover second-order terms, the float64 reference's own error
+    and the bound's own float64 rounding.
     """
     abs_w = [np.abs(w) for w in weights]
     abs_b = [np.abs(b) for b in biases]
@@ -249,21 +268,7 @@ def _error_bound(weights: list, biases: list, x_max: float) -> tuple[np.ndarray,
     if cu >= 0.01:
         return None
     underflows += v.sum()
-    # a floor keeps every term of the bound's own float32 product normal
-    return np.maximum(np.append(v, beta + ETA32 * underflows / cu), 2.0 ** -100), cu
-
-
-def _float32_output(X32: np.ndarray, weights: list, biases: list) -> np.ndarray:
-    """Output of the folded ReLU sub-network in float32; its activations die on return."""
-    h = X32 @ np.vstack([weights[0], biases[0]]).astype(np.float32)
-    np.maximum(h, 0.0, out=h)
-    for w, b in zip(weights[1:-1], biases[1:-1]):
-        h = h @ w.astype(np.float32)
-        h += b.astype(np.float32)
-        np.maximum(h, 0.0, out=h)
-    out = h @ weights[-1][:, 0].astype(np.float32)
-    out += np.float32(biases[-1][0])
-    return out
+    return cu * float(np.linalg.norm(v)), cu * beta + ETA32 * underflows
 
 
 def positive_outputs(
@@ -275,52 +280,45 @@ def positive_outputs(
     """Per row, whether ``forward_output(net, X, masks)`` is strictly positive.
 
     ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
-    is: its cached ``X32``, ``x_max`` and ``abs_X32`` are used, else they
-    are built here when needed.  A network with a live hidden unit
-    runs its live sub-network in float32, with the first bias in the
-    ones column and each dropout mask folded into the next layer's
-    weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``).  A row
-    whose float32 output lies outside the error bound of
-    :func:`_error_bound` keeps its float32 sign, which is the float64
-    sign; every other row (NaN compares false) is re-run through
-    :func:`forward_output`.  Those float64 rows can round in another order
-    than a pass over all rows, so a row within a few float64 ulps of zero
-    may take the other sign.  Networks with no hidden layer or no live
-    hidden unit, and networks float32 cannot hold, run
-    :func:`forward_output` on every row.
+    is: its cached ``X32``, ``x_max`` and ``x_norms`` are used, else they
+    are built here when needed.  The live sub-network, sliced once, runs
+    in float32 with the first bias in the ones column and each dropout
+    mask folded into the next layer's weights (``relu(z) * m ==
+    relu(z * m)`` for ``m >= 0``).  A row whose float32 output lies
+    outside the error bound of :func:`_error_bound` keeps its float32
+    sign, which is the float64 sign; every other row (NaN compares false)
+    is re-run in float64 on the same slice, where a row within a few
+    float64 ulps of zero may round to the other sign than a pass over all
+    rows.  Networks with no live hidden unit, and networks float32 cannot
+    hold, run in float64 on every row; one with no hidden layer runs
+    :func:`forward_output`.
     """
     _check_inputs(net, X, masks)
     if not net.n_hidden_layers:
         return forward_output(net, X, masks) > 0.0
-    live = live_units(net, masks)
-    if not all(keep.any() for keep in live[1:-1]):
-        # a constant output: the float64 pass over no hidden unit is cheap
-        return forward_output(net, X, masks) > 0.0
-    weights, biases = [], []
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        w = w[np.ix_(live[i], live[i + 1])]
-        if i and masks is not None:
-            w = w * masks[i - 1][live[i]][:, None]
-        weights.append(w)
-        biases.append(b[live[i + 1]])
-    weights[-1], biases[-1] = weights[-1][:, :1], biases[-1][:1]  # forward_output's output
-    X32 = float32_with_ones(X) if tensors is None else tensors.X32
-    x_max = _max_magnitude(X32) if tensors is None else tensors.x_max
-    bound = _error_bound(weights, biases, x_max)
-    if bound is None or not all((m >= 0.0).all() for m in masks or ()):
-        return forward_output(net, X, masks) > 0.0
-    vb, cu = bound
-    with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
-        out = _float32_output(X32, weights, biases)
-        # |X32| is first built after a pass, so a split scored once never holds
-        # it beside the hidden activations
-        abs_X32 = np.abs(X32) if tensors is None else tensors.abs_X32
-        err = abs_X32 @ vb.astype(np.float32)
-        err *= np.float32(cu)
-        flags = out > 0.0
-        unsure = np.flatnonzero(~(np.abs(out) > err))
-    if len(unsure):
-        flags[unsure] = forward_output(net, X[unsure], masks) > 0.0
+    weights, biases, kept_masks = _live_subnet(net, masks)
+    flags = np.empty(len(X), dtype=bool)
+    rows = slice(None)  # the rows float64 decides: all, unless float32 certifies some
+    if all(len(b) for b in biases[:-1]) and all((m >= 0.0).all() for m in masks or ()):
+        folded = [w if not i or masks is None else w * kept_masks[i - 1][:, None]
+                  for i, w in enumerate(weights)]
+        folded[-1] = folded[-1][:, :1]  # forward_output's output
+        folded_biases = biases[:-1] + [biases[-1][:1]]
+        X32 = float32_with_ones(X) if tensors is None else tensors.X32
+        x_max = _max_magnitude(X32) if tensors is None else tensors.x_max
+        bound = _error_bound(folded, folded_biases, x_max)
+        if bound is not None:
+            x_norms = _row_norms(X32) if tensors is None else tensors.x_norms
+            w32 = [np.vstack([folded[0], biases[0]])] + folded[1:]
+            b32 = [None] + [b.astype(np.float32) for b in folded_biases[1:]]
+            with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
+                out = _forward(X32, [w.astype(np.float32) for w in w32], b32)
+                flags = out > 0.0
+                slope, offset = bound
+                rows = np.flatnonzero(~(np.abs(out) > slope * x_norms + offset))
+    X_rows = X[rows]
+    if len(X_rows):
+        flags[rows] = _forward(X_rows, weights, biases, kept_masks) > 0.0
     return flags
 
 
@@ -332,8 +330,8 @@ def match_flags(
     """Boolean match per chart: strictly positive output, limit hits vetoed.
 
     Signs come from :func:`positive_outputs`: float32 where its error
-    bound certifies them, float64 :func:`forward_output` for the other
-    rows, so flags equal the float64 pass up to summation order.
+    bound certifies them, float64 for the other rows, so flags equal the
+    float64 pass up to summation order.
     """
     return positive_outputs(net, tensors.X, masks, tensors) & ~tensors.limit_hit
 

@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
@@ -122,6 +123,10 @@ def run_search(
         raise ConfigError("corpus has no training split")
     tensors: dict[str, DatasetTensors] = {}
     for name, dataset in corpus.items():
+        width = math.prod(dataset.values.shape[1:])
+        if width != spec.layer_sizes[0]:
+            raise ConfigError(f"{name} charts have {width} values, but the {spec.name} "
+                              f"substrate expects {spec.layer_sizes[0]} inputs")
         if len(dataset):
             tensors[name] = DatasetTensors.from_dataset(dataset, eval_config.k)
     if "training" not in tensors or len(tensors["training"]) == 0:

@@ -162,6 +162,43 @@ class TestDiagnostics:
         assert code == 1
         assert "no 'test' split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-overlay"])
+    def test_pattern_width_mismatch(self, pipeline, tmp_path, command):
+        from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
+        pattern = tmp_path / "narrow.net"
+        pattern.write_text(phenotype_to_text(PhenotypeNetwork((np.ones((3, 1)),), (np.zeros(1),))))
+        overlay = tmp_path / "overlay.csv"
+        argv = [command, "--corpus", str(pipeline["corpus"]), "--pattern", str(pattern),
+                "--split", "validation"]
+        argv += ["--k", "20"] if command == "evaluate" else ["--out", str(overlay)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"chartevo: pattern {pattern} expects 3 inputs")
+        assert "validation charts have 64 values" in lines[0]
+        assert not overlay.exists()
+
+    @pytest.mark.parametrize("substrate", ["network", "template"])
+    def test_corpus_width_mismatch(self, pipeline, tmp_path, substrate):
+        config = json.loads(pipeline["config"].read_text())
+        config["preprocess"]["slice_window"] = 64
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        corpus = tmp_path / "corpus"
+        assert main(["preprocess", "--config", str(cfg), "--prices", str(pipeline["prices"]),
+                     "--out", str(corpus)]) == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["search", "--config", str(cfg), "--corpus", str(corpus),
+                         "--out", str(tmp_path / "run"), "--substrate", substrate])
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+        assert f"charts have 32 values, but the {substrate} substrate expects 64 inputs" in lines[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
+
 
 class TestSynthOutputs:
     def test_price_directory_contents(self, pipeline):

@@ -110,24 +110,21 @@ class TestTensors:
         with pytest.raises(ValueError):
             tensors.X32[0, 0] = 1.0
 
-    def test_bound_inputs_cached_after_first_float32_pass(self, monkeypatch):
-        import chartevo.evaluator as evaluator
+    def test_row_norms_cached(self):
         from chartevo.search import _corpus_digests
 
         rng = np.random.default_rng(3)
         tensors = DatasetTensors.from_dataset(random_dataset(rng, 200), 5)
         digests = _corpus_digests({"training": tensors})
-        seen = []
-        real = evaluator._float32_output
-        monkeypatch.setattr(evaluator, "_float32_output",
-                            lambda *a: seen.append("abs_X32" in vars(tensors)) or real(*a))
         net = random_net(rng)
         first = match_flags(net, tensors)
+        x_norms = tensors.x_norms
         assert np.array_equal(match_flags(net, tensors), first)
-        # |X32| is not held during the first pass, and is reused by the second
-        assert seen == [False, True]
-        assert np.array_equal(tensors.abs_X32, np.abs(tensors.X32))
-        assert not tensors.abs_X32.flags.writeable
+        assert tensors.x_norms is x_norms
+        assert x_norms.dtype == np.float64
+        assert not x_norms.flags.writeable
+        charts = tensors.X32[:, :-1].astype(np.float64)
+        np.testing.assert_allclose(x_norms, np.linalg.norm(charts, axis=1), rtol=1e-15)
         assert tensors.x_max == np.abs(tensors.X32).max()
         assert _corpus_digests({"training": tensors}) == digests
 
@@ -336,12 +333,13 @@ class TestCertifiedSigns:
         assert np.array_equal(flags[~near], ((reference > 0.0) & ~limit)[~near])
 
     def _spy(self, monkeypatch):
+        """Row counts of the float64 passes of the shared forward loop."""
         import chartevo.evaluator as evaluator
 
         rows = []
-        real = evaluator.forward_output
-        monkeypatch.setattr(evaluator, "forward_output",
-                            lambda net, X, masks=None: rows.append(len(X)) or real(net, X, masks))
+        real = evaluator._forward
+        monkeypatch.setattr(evaluator, "_forward", lambda X, *a: (
+            X.dtype == np.float64 and rows.append(len(X))) or real(X, *a))
         return rows
 
     def test_float32_certifies_most_rows(self, monkeypatch):
@@ -373,6 +371,32 @@ class TestCertifiedSigns:
         rows = self._spy(monkeypatch)
         assert np.array_equal(match_flags(net, tensors), dense_forward(net, X) > 0.0)
         assert rows == [50]
+
+    @pytest.mark.parametrize("case", ["boundary_row", "huge"])
+    def test_live_units_once_per_call(self, monkeypatch, case):
+        # the float64 rows reuse the kernel's live sub-network
+        import chartevo.evaluator as evaluator
+
+        rng = np.random.default_rng(10)
+        net = random_net(rng, sizes=(6, 5, 3, 1))
+        masks = dropout_masks(net, 0.8, rng)
+        X = rng.normal(size=(50, 6))
+        if case == "huge":
+            net = PhenotypeNetwork(tuple(w * 1e30 for w in net.weights), net.biases)
+        else:
+            # row 0's output becomes 0, so the float32 pass cannot certify it
+            last = net.biases[-1] - dense_forward(net, X[:1], masks)
+            net = PhenotypeNetwork(net.weights, net.biases[:-1] + (last,))
+        calls = []
+        real = evaluator.live_units
+        monkeypatch.setattr(evaluator, "live_units", lambda *a: calls.append(1) or real(*a))
+        rows = self._spy(monkeypatch)
+        flags = positive_outputs(net, X, masks)
+        assert calls == [1]
+        assert rows == [50] if case == "huge" else len(rows) == 1 and 0 < rows[0] < 50
+        reference = dense_forward(net, X, masks)
+        near = np.abs(reference) <= 1e-12
+        assert np.array_equal(flags[~near], (reference > 0.0)[~near])
 
 
 class TestPenalty:
