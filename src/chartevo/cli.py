@@ -9,8 +9,10 @@ plotting.  Options resolve as defaults < config file < command line.
 Every command that writes an output directory drops a ``manifest.json``:
 tool version, resolved configuration, seed, and sha256 digests of the
 inputs, so any result can be traced back to what produced it.  ``search``
-first removes the previous run's files and writes its manifest last, so a
-run directory with a manifest holds one complete run.
+removes the previous run's files only once its own run has finished, and
+writes its manifest last: a search refused for its inputs or failed during
+evolution leaves an earlier run untouched, and a run directory with a
+manifest holds one complete run.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .preprocess import (
     write_price_directory,
 )
 from .search import SearchOptions, export_overlay, results_row, run_search, write_run_outputs
-from .substrate import express, phenotype_from_text, standard_substrates
+from .substrate import PhenotypeNetwork, express, phenotype_from_text, standard_substrates
 from .synthdata import SynthConfig, generate, write_injections
 from .types import (
     ConfigError,
@@ -154,18 +156,6 @@ def _convert_synth_section(section: dict) -> dict:
     return section
 
 
-def _jsonable(value):
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, datetime.date):
-        return value.isoformat()
-    return value
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -197,12 +187,12 @@ def write_manifest(out_dir, command: str, configs: dict, seed: int | None, input
         "version": __version__,
         "command": command,
         "seed": seed,
-        "config": {name: _jsonable(cfg) for name, cfg in configs.items()},
+        "config": {name: dataclasses.asdict(cfg) for name, cfg in configs.items()},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with atomic_open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, default=datetime.date.isoformat)
         fh.write("\n")
 
 
@@ -281,11 +271,6 @@ def _search_configs(args) -> tuple[EvolutionConfig, EvalConfig, SearchOptions, i
 def _cmd_search(args) -> int:
     evolution_config, eval_config, options, seed = _search_configs(args)
     corpus = load_corpus(args.corpus)
-    # a run that fails partway must not leave another run's files beside its own;
-    # checkpoints/ stays, since --resume may read from it
-    for name in RUN_FILES:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(args.out, name))
     run = run_search(
         corpus,
         evolution_config,
@@ -294,6 +279,12 @@ def _cmd_search(args) -> int:
         checkpoint_dir=os.path.join(args.out, "checkpoints"),
         resume_from=args.resume,
     )
+    # a search refused or failed before this point leaves an earlier run untouched;
+    # one whose writes fail must not leave that run's files beside its own.
+    # checkpoints/ stays, since --resume may read from it
+    for name in RUN_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(args.out, name))
     write_run_outputs(run, args.out)
     overlay_split = "test" if "test" in corpus else "training"
     count = export_overlay(
@@ -311,17 +302,18 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _load_pattern(args, dataset: Dataset):
-    """The network of ``args.pattern``, checked to fit the charts of ``dataset``."""
+def _load_pattern(args) -> tuple[Dataset, PhenotypeNetwork]:
+    """The ``args.split`` charts of ``args.corpus`` and the network of
+    ``args.pattern``, checked to fit them."""
+    corpus = load_corpus(args.corpus, (args.split,))
+    if args.split not in corpus:
+        raise ConfigError(f"corpus has no {args.split!r} split")
+    dataset = corpus[args.split]
     with open(args.pattern, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         if text.startswith(cppn.GENOME_MAGIC):
-            genome = cppn.from_text(text)
-            substrates = standard_substrates()
-            if args.substrate not in substrates:
-                raise ConfigError(f"unknown substrate {args.substrate!r}")
-            net = express(genome, substrates[args.substrate])
+            net = express(cppn.from_text(text), standard_substrates()[args.substrate])
         else:
             net = phenotype_from_text(text)
     except ValueError as exc:
@@ -330,18 +322,15 @@ def _load_pattern(args, dataset: Dataset):
     if net.layer_sizes[0] != width:
         raise ConfigError(f"pattern {args.pattern} expects {net.layer_sizes[0]} inputs, "
                           f"but the {dataset.split} charts have {width} values")
-    return net
+    return dataset, net
 
 
 def _cmd_evaluate(args) -> int:
     (section,) = _config_sections(args.config, "eval")
     config = _build_config(EvalConfig, "eval", section,
                            {"k": args.k, "alpha": args.alpha, "dropout_enabled": False})
-    corpus = load_corpus(args.corpus, (args.split,))
-    if args.split not in corpus:
-        raise ConfigError(f"corpus has no {args.split!r} split")
-    net = _load_pattern(args, corpus[args.split])
-    report = fitness(net, corpus[args.split], config)
+    dataset, net = _load_pattern(args)
+    report = fitness(net, dataset, config)
     sys.stdout.write(report.to_text())
     if args.out:
         with atomic_open(args.out, "w", encoding="utf-8") as fh:
@@ -350,11 +339,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_export_overlay(args) -> int:
-    corpus = load_corpus(args.corpus, (args.split,))
-    if args.split not in corpus:
-        raise ConfigError(f"corpus has no {args.split!r} split")
-    net = _load_pattern(args, corpus[args.split])
-    count = export_overlay(net, corpus[args.split], args.out)
+    _load_config_file(args.config)  # no section applies, but a bad file is still refused
+    dataset, net = _load_pattern(args)
+    count = export_overlay(net, dataset, args.out)
     print(f"{count} matched charts written to {args.out}")
     return 0
 
@@ -403,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pattern", required=True, help=".net phenotype or .cppn genome file")
-    p.add_argument("--substrate", default="network", help="used when --pattern is a genome")
+    p.add_argument("--substrate", default="network", choices=sorted(standard_substrates()),
+                   help="used when --pattern is a genome")
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--k", type=int, help="return horizon in trading days")
     p.add_argument("--alpha", type=float, help="match-count penalty scale")
@@ -414,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pattern", required=True)
-    p.add_argument("--substrate", default="network")
+    p.add_argument("--substrate", default="network", choices=sorted(standard_substrates()),
+                   help="used when --pattern is a genome")
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_overlay)
@@ -426,10 +415,7 @@ def main(argv=None) -> int:
     _setup_logging(getattr(args, "verbose", False))
     try:
         return args.func(args)
-    except (ConfigError, CorpusFormatError) as exc:
-        print(f"chartevo: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, CorpusFormatError, OSError) as exc:
         print(f"chartevo: {exc}", file=sys.stderr)
         return 1
 

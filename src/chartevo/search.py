@@ -208,27 +208,27 @@ def _select_pattern(
     tensors: Mapping[str, DatasetTensors],
     clean_config: EvalConfig,
 ) -> SelectedPattern:
-    """Re-score distinct champions on validation, keep the best, test it once."""
-    distinct: dict[tuple, ChampionRecord] = {}
-    for champ in run.champions:
-        distinct.setdefault(champ.genome.signature(), champ)
-    candidates = list(distinct.values())
-    nets = {id(c): express(c.genome, spec) for c in candidates}
-    if "validation" in tensors:
-        scored = [
-            (fitness(nets[id(c)], tensors["validation"], clean_config).fitness, c.generation, c)
-            for c in candidates
-        ]
-        best_score = max(s[0] for s in scored)
-        chosen = min((c for s, _, c in scored if s == best_score), key=lambda c: c.generation)
-    else:
+    """Re-score distinct champions on validation, keep the best, test it once.
+
+    Champions are walked in generation order, the first of each signature
+    scored; a strict ``>`` keeps the earliest generation among equal scores.
+    """
+    validation = tensors.get("validation")
+    if validation is None:
         log.warning("no validation split; selecting on recorded training fitness")
-        best_score = max(c.train_report.fitness for c in candidates)
-        chosen = min(
-            (c for c in candidates if c.train_report.fitness == best_score),
-            key=lambda c: c.generation,
-        )
-    net = nets[id(chosen)]
+    seen: set[tuple] = set()
+    best = None  # (score, champion, network) of the best champion so far
+    for champ in run.champions:
+        signature = champ.genome.signature()
+        if signature in seen:
+            continue
+        seen.add(signature)
+        candidate = express(champ.genome, spec)
+        score = (champ.train_report.fitness if validation is None
+                 else fitness(candidate, validation, clean_config).fitness)
+        if best is None or score > best[0]:
+            best = (score, champ, candidate)
+    _, chosen, net = best
     reports = {name: fitness(net, tensors[name], clean_config) for name in tensors}
     return SelectedPattern(chosen.generation, chosen.genome, net, reports)
 
@@ -378,21 +378,19 @@ def export_overlay(net: PhenotypeNetwork, dataset: Dataset, path) -> int:
 
 
 def write_run_outputs(run: SearchRun, out_dir) -> None:
-    """history.csv, pattern.cppn, pattern.net, report.txt, results_row.csv; each atomically."""
+    """history.csv, then with a selected pattern pattern.cppn, pattern.net,
+    results_row.csv and report.txt; each atomically."""
+    files = {"history.csv": history_table(run)}
+    if (selected := run.selected) is not None:
+        reports = "".join(f"[{split}]\n{selected.reports[split].to_text()}\n"
+                          for split in ("training", "validation", "test") if split in selected.reports)
+        files.update({
+            "pattern.cppn": cppn.to_text(selected.genome),
+            "pattern.net": phenotype_to_text(selected.network),
+            "results_row.csv": results_row(run),
+            "report.txt": f"run {run.run_id}\nselected generation {selected.generation}\n\n{reports}",
+        })
     os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as fh:
-        fh.write(history_table(run))
-    if run.selected is None:
-        return
-    with atomic_open(os.path.join(out_dir, "pattern.cppn"), "w", encoding="utf-8") as fh:
-        fh.write(cppn.to_text(run.selected.genome))
-    with atomic_open(os.path.join(out_dir, "pattern.net"), "w", encoding="utf-8") as fh:
-        fh.write(phenotype_to_text(run.selected.network))
-    with atomic_open(os.path.join(out_dir, "results_row.csv"), "w", encoding="utf-8") as fh:
-        fh.write(results_row(run))
-    with atomic_open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"run {run.run_id}\nselected generation {run.selected.generation}\n\n")
-        for split in ("training", "validation", "test"):
-            report = run.selected.reports.get(split)
-            if report is not None:
-                fh.write(f"[{split}]\n{report.to_text()}\n")
+    for name, text in files.items():
+        with atomic_open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)

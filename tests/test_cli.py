@@ -81,11 +81,13 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_unknown_substrate_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "--corpus", str(tmp_path), "--out", str(tmp_path),
-                  "--substrate", "bogus"])
-        assert exc.value.code == 2
-
+        for argv in (["search", "--out", str(tmp_path)],
+                     ["evaluate", "--pattern", str(tmp_path / "pattern.cppn")],
+                     ["export-overlay", "--pattern", str(tmp_path / "pattern.cppn"),
+                      "--out", str(tmp_path / "overlay.csv")]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--corpus", str(tmp_path), "--substrate", "bogus"])
+            assert exc.value.code == 2, argv[0]
 
     def test_workers_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -200,6 +202,34 @@ class TestDiagnostics:
         assert not (tmp_path / "run" / "manifest.json").exists()
 
 
+BAD_CONFIG_FILES = {
+    "missing": None,
+    "invalid JSON": "{not json",
+    "not an object": "[1, 2]",
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BAD_CONFIG_FILES))
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "prices"],
+    ["preprocess", "--prices", "prices", "--out", "corpus"],
+    ["search", "--corpus", "corpus", "--out", "run"],
+    ["evaluate", "--corpus", "corpus", "--pattern", "pattern.net"],
+    ["export-overlay", "--corpus", "corpus", "--pattern", "pattern.net", "--out", "overlay.csv"],
+], ids=lambda argv: argv[0])
+def test_bad_config_file_gives_one_error_line(tmp_path, monkeypatch, argv, problem):
+    monkeypatch.chdir(tmp_path)
+    if BAD_CONFIG_FILES[problem] is not None:
+        (tmp_path / "config.json").write_text(BAD_CONFIG_FILES[problem])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--config", "config.json"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert "config" in lines[0]
+
+
 class TestSynthOutputs:
     def test_price_directory_contents(self, pipeline):
         names = {p.name for p in pipeline["prices"].iterdir()}
@@ -213,6 +243,19 @@ class TestSynthOutputs:
         assert len(corpus["training"]) > 50
         assert len(corpus["validation"]) > 50
         assert corpus["training"].values.shape[1:] == (32, 2)
+
+    def test_synth_manifest_dates_are_iso_strings(self, pipeline):
+        manifest = json.loads((pipeline["prices"] / "manifest.json").read_text())
+        assert manifest["config"]["synth"]["start_date"] == "2012-01-02"
+
+    def test_preprocess_manifest_config(self, pipeline):
+        config = json.loads((pipeline["corpus"] / "manifest.json").read_text())["config"]
+        assert config["preprocess"]["horizons"] == [5, 20]
+        assert config["preprocess"]["split_ranges"] == {
+            "training": {"start": "2012-01-01", "end": "2012-12-31"},
+            "validation": {"start": "2013-01-01", "end": "2013-06-30"},
+            "test": {"start": "2013-07-01", "end": "2013-12-31"},
+        }
 
     def test_load_corpus_missing(self, tmp_path):
         with pytest.raises(CorpusFormatError):
@@ -747,6 +790,26 @@ def test_failed_write_keeps_previous_file(pipeline, tmp_path, monkeypatch, comma
         assert (out / target).read_text() == "previous\n"
     assert (out / "checkpoints" / "checkpoint_g0001.json").read_text() == "previous\n"
     assert list(out.rglob("*.tmp")) == []
+
+
+def test_refused_search_keeps_previous_run(pipeline, run_dir, tmp_path):
+    """A search refused for its inputs leaves the earlier run's files as they were."""
+    out = tmp_path / "run"
+    shutil.copytree(run_dir, out)
+    previous = {name: (out / name).read_bytes() for name in RUN_FILES}
+    config = json.loads(pipeline["config"].read_text())
+    config["preprocess"]["slice_window"] = 64
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    corpus = tmp_path / "corpus"
+    assert main(["preprocess", "--config", str(cfg), "--prices", str(pipeline["prices"]),
+                 "--out", str(corpus)]) == 0
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["search", "--config", str(cfg), "--corpus", str(corpus), "--out", str(out)])
+    assert code == 1
+    assert "charts have 32 values" in err.getvalue()
+    assert {name: (out / name).read_bytes() for name in RUN_FILES} == previous
 
 
 def test_run_files_do_not_depend_on_blas_threads(pipeline, tmp_path):

@@ -10,9 +10,10 @@ import os
 import numpy as np
 import pytest
 
+import chartevo.search as search_mod
 from chartevo import cppn
 from chartevo.cppn import minimal_genome
-from chartevo.evaluator import EvalConfig
+from chartevo.evaluator import DatasetTensors, EvalConfig
 from chartevo.neat import EvolutionConfig
 from chartevo.search import (
     HISTORY_COLUMNS,
@@ -159,6 +160,66 @@ class TestRunSearchBehavior:
         assert any("consecutive generations" in m for m in caplog.messages)
         assert all(r.best_fitness == 0.0 for r in run.history)
         assert run.selected.reports["test"].match_count == 0
+
+
+class TestPatternSelection:
+    """The first champion of each signature is scored once, the highest score
+    wins, and the earliest generation wins a tie."""
+
+    # genome seed of each generation's champion; generations 1, 4 and 5 repeat one
+    SEEDS = (0, 0, 1, 2, 1, 2)
+    # scripted score of each genome seed: seeds 1 and 2 tie for the best
+    SCORES = {0: 0.1, 1: 0.3, 2: 0.3}
+
+    def _select(self, monkeypatch, splits):
+        genomes = {seed: minimal_genome(np.random.default_rng(seed)) for seed in self.SCORES}
+        assert len({g.signature() for g in genomes.values()}) == len(genomes)
+        run = SearchRun(run_id="demo", substrate="template", k=5)
+        run.champions = [
+            ChampionRecord(g, genomes[seed], FitnessReport.from_stats(5, 1, self.SCORES[seed], 1.0))
+            for g, seed in enumerate(self.SEEDS)
+        ]
+        expressed = []  # (network, genome seed); holding the networks keeps their identity
+        real_express, real_fitness = search_mod.express, search_mod.fitness
+
+        def express_spy(genome, spec):
+            net = real_express(genome, spec)
+            expressed.append((net, next(s for s, g in genomes.items() if g is genome)))
+            return net
+
+        calls = []
+
+        def fitness_spy(net, tensors, config, masks=None):
+            seed = next(s for n, s in expressed if n is net)
+            calls.append((tensors.split, seed))
+            report = real_fitness(net, tensors, config, masks)
+            if tensors.split == "validation":
+                return FitnessReport.from_stats(report.k, 1, self.SCORES[seed], 1.0)
+            return report
+
+        monkeypatch.setattr(search_mod, "express", express_spy)
+        monkeypatch.setattr(search_mod, "fitness", fitness_spy)
+        corpus = make_corpus()
+        tensors = {name: DatasetTensors.from_dataset(corpus[name], 5) for name in splits}
+        selected = search_mod._select_pattern(run, standard_substrates()["template"], tensors,
+                                              EvalConfig(k=5, alpha=1000.0, dropout_enabled=False))
+        assert selected.genome is genomes[1]
+        return selected, calls
+
+    def test_best_validation_score_earliest_generation(self, monkeypatch):
+        selected, calls = self._select(monkeypatch, ("training", "validation", "test"))
+        assert selected.generation == 2
+        assert selected.reports["validation"].fitness == 0.3
+        # one validation scoring per distinct signature, then the winner's report
+        assert [seed for split, seed in calls if split == "validation"] == [0, 1, 2, 1]
+        assert [c for c in calls if c[0] != "validation"] == [("training", 1), ("test", 1)]
+
+    def test_no_validation_split_same_rule_on_training_fitness(self, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="chartevo.search"):
+            selected, calls = self._select(monkeypatch, ("training", "test"))
+        assert any("no validation split" in m for m in caplog.messages)
+        assert selected.generation == 2
+        assert calls == [("training", 1), ("test", 1)]
 
 
 class TestCheckpointResume:
