@@ -57,6 +57,11 @@ log = logging.getLogger(__name__)
 # float64 output buffer, reused block to block, bounds the extra memory
 STACK_BLOCK = 32
 
+# rows per block of positive_outputs' float32 pass: its hidden layers are
+# written into one float32 workspace of ROW_BLOCK rows, reused block to block,
+# so the pass's memory does not grow with the split
+ROW_BLOCK = 8192
+
 # float32 unit roundoff, and the spacing of float32 subnormals: no float32
 # (or float64) product that underflows is off by more than ETA32
 U32 = 2.0 ** -24
@@ -119,6 +124,13 @@ class DatasetTensors:
         """The largest magnitude in ``X32``, at least 1 (the ones column), found once."""
         return _max_magnitude(self.X32)
 
+    def workspace(self, size: int) -> np.ndarray:
+        """A flat float32 buffer of at least ``size`` values, kept for the next network."""
+        buf = self.__dict__.get("_workspace")
+        if buf is None or len(buf) < size:
+            buf = self.__dict__["_workspace"] = np.empty(size, np.float32)
+        return buf
+
     def __len__(self) -> int:
         return len(self.returns)
 
@@ -173,8 +185,11 @@ def float32_with_ones(X: np.ndarray) -> np.ndarray:
     return X32
 
 
-def _max_magnitude(X32: np.ndarray) -> np.float32:
-    return max(X32.max(initial=1.0), -X32.min(initial=0.0))
+def _max_magnitude(X: np.ndarray) -> np.float32:
+    """The largest magnitude in ``float32_with_ones(X)``, read off ``X`` or that array:
+    rounding to float32 keeps order and sign, so it commutes with max and negation."""
+    with np.errstate(over="ignore"):
+        return np.float32(max(X.max(initial=1.0), -X.min(initial=0.0)))
 
 
 def _row_norms(X32: np.ndarray) -> np.ndarray:
@@ -199,12 +214,21 @@ def _live_subnet(net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None) -> t
     return weights, biases, kept_masks
 
 
-def _forward(X: np.ndarray, weights: list, biases: list, masks: list | None = None) -> np.ndarray:
+def _forward(X: np.ndarray, weights: list, biases: list, masks: list | None = None,
+             workspace: np.ndarray | None = None) -> np.ndarray:
     """Output column 0 of a ReLU net in the precision of ``X`` and the weights; a first
-    bias of None rides in ``X``'s ones column, and ``masks`` scale hidden layers after ReLU."""
-    h = X
-    for i, (w, b) in enumerate(zip(weights[:-1], biases)):
-        h = h @ w
+    bias of None rides in ``X``'s ones column, and ``masks`` scale hidden layers after ReLU.
+
+    The hidden layers are written one after another into contiguous views of
+    ``workspace``, a flat buffer of ``X``'s dtype; one is allocated if not given.
+    """
+    n, widths = len(X), [w.shape[1] for w in weights[:-1]]
+    if workspace is None:
+        workspace = np.empty(n * sum(widths), X.dtype)
+    h, used = X, 0
+    for i, (w, b, width) in enumerate(zip(weights[:-1], biases, widths)):
+        h = np.matmul(h, w, out=workspace[used:used + n * width].reshape(n, width))
+        used += n * width
         if b is not None:
             h += b
         np.maximum(h, 0.0, out=h)
@@ -280,18 +304,20 @@ def positive_outputs(
     """Per row, whether ``forward_output(net, X, masks)`` is strictly positive.
 
     ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
-    is: its cached ``X32``, ``x_max`` and ``x_norms`` are used, else they
-    are built here when needed.  The live sub-network, sliced once, runs
-    in float32 with the first bias in the ones column and each dropout
-    mask folded into the next layer's weights (``relu(z) * m ==
-    relu(z * m)`` for ``m >= 0``).  A row whose float32 output lies
-    outside the error bound of :func:`_error_bound` keeps its float32
-    sign, which is the float64 sign; every other row (NaN compares false)
-    is re-run in float64 on the same slice, where a row within a few
-    float64 ulps of zero may round to the other sign than a pass over all
-    rows.  Networks with no live hidden unit, and networks float32 cannot
-    hold, run in float64 on every row; one with no hidden layer runs
-    :func:`forward_output`.
+    is: its cached ``X32``, ``x_max``, ``x_norms`` and workspace are used,
+    else they are built here, ``X32`` and ``x_norms`` one block at a time.
+    The live sub-network, sliced once, runs in float32 with the first bias
+    in the ones column and each dropout mask folded into the next layer's
+    weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``), ``ROW_BLOCK``
+    rows at a time through one float32 workspace.  A row whose float32
+    output lies outside the error bound of :func:`_error_bound` keeps its
+    float32 sign, which is the float64 sign; the bound is per row and holds
+    for any summation order, so blocking moves no flag.  Every other row
+    (NaN compares false) is gathered and re-run once in float64 on the same
+    slice, where a row within a few float64 ulps of zero may round to the
+    other sign than a pass over all rows.  Networks with no live hidden
+    unit, and networks float32 cannot hold, run in float64 on every row;
+    one with no hidden layer runs :func:`forward_output`.
     """
     _check_inputs(net, X, masks)
     if not net.n_hidden_layers:
@@ -304,18 +330,27 @@ def positive_outputs(
                   for i, w in enumerate(weights)]
         folded[-1] = folded[-1][:, :1]  # forward_output's output
         folded_biases = biases[:-1] + [biases[-1][:1]]
-        X32 = float32_with_ones(X) if tensors is None else tensors.X32
-        x_max = _max_magnitude(X32) if tensors is None else tensors.x_max
+        x_max = _max_magnitude(X) if tensors is None else tensors.x_max
         bound = _error_bound(folded, folded_biases, x_max)
         if bound is not None:
-            x_norms = _row_norms(X32) if tensors is None else tensors.x_norms
-            w32 = [np.vstack([folded[0], biases[0]])] + folded[1:]
+            slope, offset = bound
+            w32 = [w.astype(np.float32) for w in [np.vstack([folded[0], biases[0]])] + folded[1:]]
             b32 = [None] + [b.astype(np.float32) for b in folded_biases[1:]]
+            size = min(len(X), ROW_BLOCK) * sum(net.layer_sizes[1:-1])
+            workspace = np.empty(size, np.float32) if tensors is None else tensors.workspace(size)
+            certain = np.empty(len(X), dtype=bool)
             with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
-                out = _forward(X32, [w.astype(np.float32) for w in w32], b32)
-                flags = out > 0.0
-                slope, offset = bound
-                rows = np.flatnonzero(~(np.abs(out) > slope * x_norms + offset))
+                for start in range(0, len(X), ROW_BLOCK):
+                    block = slice(start, start + ROW_BLOCK)
+                    if tensors is None:
+                        X32 = float32_with_ones(X[block])
+                        x_norms = _row_norms(X32)
+                    else:
+                        X32, x_norms = tensors.X32[block], tensors.x_norms[block]
+                    out = _forward(X32, w32, b32, None, workspace)
+                    flags[block] = out > 0.0
+                    certain[block] = np.abs(out) > slope * x_norms + offset
+            rows = np.flatnonzero(~certain)
     X_rows = X[rows]
     if len(X_rows):
         flags[rows] = _forward(X_rows, weights, biases, kept_masks) > 0.0

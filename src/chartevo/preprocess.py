@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .types import COLUMNS, ConfigError, Dataset, PriceSeries, SPLIT_NAMES, atomic_open
+from .types import CHART_CHANNELS, ConfigError, Dataset, PriceSeries, SPLIT_NAMES, atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +180,18 @@ def limit_hit(series: PriceSeries, entry_indices: np.ndarray, threshold: float) 
     return closes[entry] / closes[entry - 1] - 1.0 >= threshold
 
 
+def entry_ordinals(series: PriceSeries, config: PreprocessConfig) -> np.ndarray:
+    """Entry day of each of one instrument's charts, as ascending proleptic Gregorian ordinals.
+
+    Window start j in the smoothed series maps to raw entry index
+    e = j + s + w - 1; j = 0 lacks a preceding smoothed value and the last
+    start lacks an entry day, which leaves entries s + w .. len(series) - 1.
+    """
+    first = config.slice_window + config.smoothing_window
+    # numpy's datetime64 conversion of date objects is slower than one pass
+    return np.fromiter((day.toordinal() for day in series.dates[first:]), np.int64)
+
+
 def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> Dataset:
     """All tradeable charts for one instrument, in entry-date order.
 
@@ -187,19 +199,15 @@ def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> Dataset
     """
     w, s = config.smoothing_window, config.slice_window
     smoothed = smooth(series, w)
-    # window start j in the smoothed series maps to raw entry index
-    # e = j + s + w - 1; j = 0 lacks a preceding smoothed value and the
-    # last start lacks an entry day, which leaves starts 1..m
-    m = max(0, len(series) - w - s)
-    entries = np.arange(1, m + 1) + s + w - 1
-    # one pass over the series' days; numpy's datetime64 conversion of date objects is slower
-    ordinals = np.fromiter((day.toordinal() for day in series.dates), np.int64, len(series))
+    ordinals = entry_ordinals(series, config)
+    m = len(ordinals)
+    entries = np.arange(len(series) - m, len(series))
     horizons = tuple(sorted(config.horizons))
     return Dataset(
         split=None,
         horizons=horizons,
         values=chart_values(slice_series(smoothed, s)[1:m + 1], smoothed.closes[:m], config),
-        entry_ordinals=ordinals[entries],
+        entry_ordinals=ordinals,
         returns=forward_returns(series, entries, horizons),
         limit_hit=limit_hit(series, entries, config.limit_threshold),
         source_ids=np.full(m, series.instrument_id),
@@ -211,32 +219,52 @@ def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) ->
 
     Charts whose entry date falls outside every configured range are
     discarded.  Instruments are processed in id order so the result is
-    independent of input ordering.
+    independent of input ordering.  Each split's columns are allocated
+    once, sized from the entry dates alone, and filled one instrument at a
+    time, so only one instrument's charts exist beside the splits.
     """
     if not config.split_ranges:
         raise ConfigError("no split ranges configured")
     ids = [s.instrument_id for s in series_set]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate instrument ids in input")
-    blocks = [charts_from_series(s, config) for s in sorted(series_set, key=lambda s: s.instrument_id)]
+    ordered = sorted(series_set, key=lambda s: s.instrument_id)
     horizons = tuple(sorted(config.horizons))
-    corpus = {}
-    for name, span in config.split_ranges.items():
-        # a block's entry ordinals ascend, so a split is one row range of it
-        bounds = [span.start.toordinal(), span.end.toordinal() + 1]
-        parts = [(b, *np.searchsorted(b.entry_ordinals, bounds)) for b in blocks]
-        parts = [(b, lo, hi) for b, lo, hi in parts if hi > lo]
-        if not parts:
-            corpus[name] = Dataset.empty(name, horizons, config.chart_steps)
-            continue
-        corpus[name] = Dataset(name, horizons, **{
-            column: np.concatenate([getattr(b, column)[lo:hi] for b, lo, hi in parts])
-            for column in COLUMNS
-        })
-    total = sum(len(b) for b in blocks)
+    bounds = [[span.start.toordinal(), span.end.toordinal() + 1]
+              for span in config.split_ranges.values()]
+    # an instrument's entry ordinals ascend, so each split is one row range of its charts
+    ranges = [[np.searchsorted(ordinals, b) for b in bounds]
+              for ordinals in (entry_ordinals(s, config) for s in ordered)]
+    splits = {}
+    for j, name in enumerate(config.split_ranges):
+        rows = [hi - lo for lo, hi in (r[j] for r in ranges)]
+        n = sum(rows)
+        # the widest id with rows in this split: the dtype np.concatenate would give
+        width = max((len(s.instrument_id) for s, k in zip(ordered, rows) if k), default=0)
+        splits[name] = {
+            "values": np.empty((n, config.chart_steps, CHART_CHANNELS)),
+            "returns": np.empty((n, len(horizons))),
+            "entry_ordinals": np.empty(n, np.int64),
+            "limit_hit": np.empty(n, np.bool_),
+            "source_ids": np.empty(n, f"<U{width}"),
+        }
+    filled = dict.fromkeys(splits, 0)
+    total = 0
+    for series, split_rows in zip(ordered, ranges):
+        block = charts_from_series(series, config)
+        total += len(block)
+        for name, (lo, hi) in zip(splits, split_rows):
+            start = filled[name]
+            for column, out in splits[name].items():
+                out[start:start + hi - lo] = getattr(block, column)[lo:hi]
+            filled[name] = start + hi - lo
+        del block  # freed before the next instrument's charts are built
+    corpus = {name: Dataset(name, horizons, **columns) if filled[name]
+              else Dataset.empty(name, horizons, config.chart_steps)
+              for name, columns in splits.items()}
     log.info(
         "corpus: %d charts from %d instruments (%d outside split ranges)",
-        total, len(series_set), total - sum(len(d) for d in corpus.values()),
+        total, len(series_set), total - sum(filled.values()),
     )
     for name, dataset in corpus.items():
         log.info("corpus: split %s has %d charts", name, len(dataset))

@@ -208,11 +208,13 @@ def atomic_open(path, mode: str, **kwargs):
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """Write a Dataset to ``path`` as a compressed npz archive, atomically.
+    """Write a Dataset to ``path`` as an uncompressed npz archive, atomically.
 
-    Each column is one member of the archive, stored raw, so the round
-    trip is bit-identical; a JSON ``header`` member holds the split, the
-    row count and the horizons.  The write goes through
+    Each column is one ``.npy`` member of the archive, so the round trip
+    is bit-identical; a JSON ``header`` member holds the split, the row
+    count and the horizons.  Members are stored, not deflated: zlib would
+    cost more time than the corpus takes to build, and zipfile's CRC
+    check still catches a damaged member on load.  The write goes through
     :func:`atomic_open`, so a failed one leaves any previous file in place.
     """
     header = json.dumps(
@@ -226,7 +228,7 @@ def save_dataset(path, dataset: Dataset) -> None:
         sort_keys=True,
     )
     with atomic_open(path, "wb") as fh:
-        np.savez_compressed(
+        np.savez(
             fh,
             header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
             **{name: getattr(dataset, name) for name in COLUMNS},
@@ -234,7 +236,8 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a Dataset written by :func:`save_dataset`."""
+    """Read a Dataset written by :func:`save_dataset`, stored or deflated
+    (as earlier versions wrote it)."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             try:
@@ -255,7 +258,7 @@ def load_dataset(path) -> Dataset:
     except OSError as exc:
         raise CorpusFormatError(f"{path}: cannot read corpus ({exc})") from exc
     except (zipfile.BadZipFile, EOFError) as exc:
-        raise CorpusFormatError(f"{path}: not an npz archive ({exc})") from exc
+        raise CorpusFormatError(f"{path}: damaged or not an npz archive ({exc})") from exc
     except ValueError as exc:
         if isinstance(exc, CorpusFormatError):
             raise

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import shutil
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -288,6 +290,39 @@ def test_malformed_corpus_member_gives_one_error_line(pipeline, run_dir, tmp_pat
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     np.savez_compressed(corpus / "training.npz", **arrays)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["evaluate", "--corpus", str(corpus), "--pattern", str(run_dir / "pattern.net"),
+                     "--split", "training", "--k", "20"])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("chartevo: ")
+    assert "training.npz" in lines[0]
+
+
+def _values_data_span(path):
+    """(start, size) of the ``values`` member's bytes in a stored corpus archive."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("values.npy")
+    assert info.compress_type == zipfile.ZIP_STORED
+    data = path.read_bytes()
+    name_len, extra_len = struct.unpack("<HH", data[info.header_offset + 26:info.header_offset + 30])
+    return info.header_offset + 30 + name_len + extra_len, info.compress_size
+
+
+@pytest.mark.parametrize("damage", ["flipped byte", "cut"])
+def test_damaged_stored_corpus_gives_one_error_line(pipeline, run_dir, tmp_path, damage):
+    source = pipeline["corpus"] / "training.npz"
+    start, size = _values_data_span(source)
+    data = bytearray(source.read_bytes())
+    middle = start + size // 2  # past the .npy header, inside the array data
+    if damage == "cut":
+        data = data[:middle]
+    else:
+        data[middle] ^= 0xFF
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "training.npz").write_bytes(bytes(data))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["evaluate", "--corpus", str(corpus), "--pattern", str(run_dir / "pattern.net"),

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import datetime
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chartevo.evaluator import (
+    ROW_BLOCK,
     DatasetTensors,
     EvalConfig,
     dropout_masks,
@@ -22,7 +24,7 @@ from chartevo.evaluator import (
 )
 from chartevo.substrate import PhenotypeNetwork, express, standard_substrates
 from chartevo.cppn import minimal_genome
-from chartevo.types import ConfigError, Dataset
+from chartevo.types import COLUMNS, ConfigError, Dataset
 
 
 def make_dataset(values, returns, horizons=(5, 10), limit=False, split="training", source="TST"):
@@ -397,6 +399,73 @@ class TestCertifiedSigns:
         reference = dense_forward(net, X, masks)
         near = np.abs(reference) <= 1e-12
         assert np.array_equal(flags[~near], (reference > 0.0)[~near])
+
+
+class TestRowBlocks:
+    """The float32 pass runs ROW_BLOCK rows at a time; its flags, and the rows it
+    leaves to float64, are those of one pass over all rows."""
+
+    def _float64_rows(self, monkeypatch):
+        import chartevo.evaluator as evaluator
+
+        calls = []
+        real = evaluator._forward
+        monkeypatch.setattr(evaluator, "_forward", lambda X, *a: (
+            X.dtype == np.float64 and calls.append(X.copy())) or real(X, *a))
+        return calls
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1])
+    def test_equals_one_pass(self, monkeypatch, n, dropout):
+        import chartevo.evaluator as evaluator
+
+        block = ROW_BLOCK
+        rng = np.random.default_rng(n)
+        net = random_net(rng, sizes=(64, 32, 8, 1))
+        masks = dropout_masks(net, 0.8, rng) if dropout else None
+        X = rng.normal(size=(n, 64))
+        # the rows either side of the block boundary copy row 0, whose output becomes 0,
+        # so float32 cannot certify them and float64 decides them
+        edge = [row for row in (0, block - 1, block) if row < n]
+        if n:
+            X[edge] = X[0]
+            last = net.biases[-1] - dense_forward(net, X[:1], masks)
+            net = PhenotypeNetwork(net.weights, net.biases[:-1] + (last,))
+        calls = self._float64_rows(monkeypatch)
+        blocked = [positive_outputs(net, X, masks),
+                   positive_outputs(net, X, masks, DatasetTensors("training", 5, X, np.zeros(n),
+                                                                  np.zeros(n, bool)))]
+        monkeypatch.setattr(evaluator, "ROW_BLOCK", max(n, 1))
+        one_pass = positive_outputs(net, X, masks)
+        for flags in blocked:
+            assert np.array_equal(flags, one_pass)
+        # each call gathers its uncertain rows, boundary rows included, into one float64 pass
+        assert len(calls) == (3 if n else 0)
+        for rows in calls:
+            assert 0 < len(rows) < 20
+            assert sum(np.array_equal(row, X[0]) for row in rows) == len(edge)
+            assert np.array_equal(rows, calls[-1])
+
+    def test_fitness_memory_is_one_block_beside_the_split(self):
+        # at least four blocks; the float32 activations of the whole split would not fit
+        block = ROW_BLOCK
+        n = 4 * block + 1
+        rng = np.random.default_rng(12)
+        net = random_net(rng, sizes=(64, 192, 48, 1))
+        masks = dropout_masks(net, 0.8, rng)
+        tracemalloc.start()
+        try:
+            dataset = make_dataset(rng.normal(scale=0.05, size=(n, 32, 2)),
+                                   rng.normal(scale=0.1, size=(n, 2)))
+            report = fitness(net, dataset, EvalConfig(k=5, alpha=1e5), masks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.match_count > 0
+        columns = sum(getattr(dataset, column).nbytes for column in COLUMNS)
+        x32 = n * 65 * 4
+        workspace = block * sum(net.layer_sizes[1:-1]) * 4
+        assert peak < columns + x32 + 2 * workspace
 
 
 class TestPenalty:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from chartevo.preprocess import (
     smooth,
     write_price_directory,
 )
-from chartevo.types import ConfigError, PriceSeries
+from chartevo.synthdata import SynthConfig, generate
+from chartevo.types import COLUMNS, ConfigError, Dataset, PriceSeries
 
 
 def weekday_series(closes, instrument="S", start=datetime.date(2012, 1, 2)):
@@ -384,6 +386,67 @@ class TestBuildCorpus:
             ids_a = [a[name].chart_id(i) for i in range(len(a[name]))]
             ids_b = [b[name].chart_id(i) for i in range(len(b[name]))]
             assert ids_a == ids_b
+
+
+def concatenated_corpus(series_set, cfg):
+    """build_corpus's splits as one np.concatenate per column over every instrument's block."""
+    blocks = [charts_from_series(s, cfg) for s in sorted(series_set, key=lambda s: s.instrument_id)]
+    horizons = tuple(sorted(cfg.horizons))
+    corpus = {}
+    for name, span in cfg.split_ranges.items():
+        bounds = [span.start.toordinal(), span.end.toordinal() + 1]
+        parts = [(b, *np.searchsorted(b.entry_ordinals, bounds)) for b in blocks]
+        parts = [(b, lo, hi) for b, lo, hi in parts if hi > lo]
+        corpus[name] = Dataset(name, horizons, **{
+            column: np.concatenate([getattr(b, column)[lo:hi] for b, lo, hi in parts])
+            for column in COLUMNS
+        }) if parts else Dataset.empty(name, horizons, cfg.chart_steps)
+    return corpus
+
+
+class TestBuildCorpusInPlace:
+    def test_equals_concatenated_blocks(self):
+        # ids of three lengths; LONGEST's series ends in 2012, so the widest id has no
+        # validation row, and no chart enters in 2030
+        cfg = PreprocessConfig(
+            smoothing_window=3, slice_window=8, downsample_factor=2, horizons=(5, 2),
+            split_ranges={
+                "training": SplitRange(datetime.date(2012, 1, 1), datetime.date(2012, 12, 31)),
+                "validation": SplitRange(datetime.date(2013, 1, 1), datetime.date(2014, 12, 31)),
+                "test": SplitRange(datetime.date(2030, 1, 1), datetime.date(2030, 12, 31)),
+            },
+        )
+        series_set = [PriceSeries(name, s.dates, s.closes) for name, s in (
+            ("B", random_series(700, seed=1)),
+            ("LONGEST", random_series(200, seed=2)),
+            ("AB", random_series(700, seed=3)),
+        )]
+        corpus = build_corpus(series_set, cfg)
+        reference = concatenated_corpus(series_set, cfg)
+        assert list(corpus) == list(reference)
+        for name, expected in reference.items():
+            got = corpus[name]
+            assert (got.split, got.horizons, len(got)) == (expected.split, expected.horizons, len(expected))
+            for column in COLUMNS:
+                a, b = getattr(got, column), getattr(expected, column)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), (name, column)
+                assert a.tobytes() == b.tobytes(), (name, column)
+        assert corpus["training"].source_ids.dtype == np.dtype("<U7")
+        assert corpus["validation"].source_ids.dtype == np.dtype("<U2")
+        assert len(corpus["test"]) == 0
+
+    def test_peak_memory_is_the_split_columns(self):
+        # beside the split columns only one instrument's charts and temporaries are alive
+        series_set, _ = generate(SynthConfig(n_instruments=30, seed=3))
+        tracemalloc.start()
+        try:
+            corpus = build_corpus(series_set, PreprocessConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(d, column).nbytes for d in corpus.values() for column in COLUMNS)
+        assert columns > 16 * 2**20
+        assert peak < columns + 8 * 2**20
 
 
 class TestPriceDirectory:

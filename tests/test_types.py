@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import datetime
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from chartevo.types import (
+    COLUMNS,
     CorpusFormatError,
     Dataset,
     FitnessReport,
@@ -177,11 +179,35 @@ class TestCorpusPersistence:
             fh.write(b"partial archive")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez_compressed", fail_partway)
+        monkeypatch.setattr(np, "savez", fail_partway)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(path, make_dataset(seeds=range(5)))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["training.npz"]
+
+    def test_members_are_stored(self, tmp_path):
+        path = tmp_path / "training.npz"
+        save_dataset(path, make_dataset(seeds=range(3)))
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_STORED}
+            assert sorted(archive.namelist()) == sorted(f"{m}.npy" for m in ("header", *COLUMNS))
+
+    def test_deflated_corpus_loads_bit_identically(self, tmp_path):
+        # the layout earlier versions wrote, each member deflated
+        ds = make_dataset(seeds=range(6), limit=True,
+                          returns=lambda i: {20: 0.1 * i} if i % 2 else {20: 0.05, 50: -0.01})
+        stored, deflated = tmp_path / "stored.npz", tmp_path / "deflated.npz"
+        save_dataset(stored, ds)
+        with np.load(stored) as archive:
+            np.savez_compressed(deflated, **{name: archive[name] for name in archive.files})
+        with zipfile.ZipFile(deflated) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+        again = load_dataset(deflated)
+        assert (again.split, again.horizons) == (ds.split, ds.horizons)
+        for name in COLUMNS:
+            a, b = getattr(again, name), getattr(ds, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         path = tmp_path / "corpus-part"
