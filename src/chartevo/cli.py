@@ -106,18 +106,28 @@ def _config_sections(path, *names) -> list[dict]:
     return sections
 
 
+# the values a config field of each plain type takes (a float also finite);
+# the other fields are converted from JSON by their section's converter
+PLAIN_FIELDS = {"int": ((int,), "an integer"), "float": ((int, float), "a finite number"),
+                "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+
+
 def _build_config(cls, name: str, section: dict, overrides: dict):
     """Merge config-file section ``name`` and CLI overrides onto dataclass defaults."""
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - valid)
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
     merged = dict(section)
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return cls(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"config section {name!r} has a value of the wrong type ({exc})") from exc
+    for key, value in merged.items():
+        if kinds[key] not in PLAIN_FIELDS:
+            continue
+        allowed, what = PLAIN_FIELDS[kinds[key]]
+        if type(value) not in allowed or (type(value) is float and not math.isfinite(value)):
+            raise ConfigError(f"config section {name!r} has a value of the wrong type "
+                              f"({key} must be {what}, got {value!r})")
+    return cls(**merged)
 
 
 def _parse_date(value) -> datetime.date:
@@ -346,6 +356,13 @@ def _cmd_export_overlay(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chartevo",
@@ -356,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="root seed for all randomness")
+        p.add_argument("--seed", type=_seed, help="root seed for all randomness (>= 0)")
         p.add_argument("--verbose", action="store_true", help="log progress at INFO")
 
     p = sub.add_parser("synth", help="generate a synthetic price directory")

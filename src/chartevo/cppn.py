@@ -141,13 +141,6 @@ class CppnGenome:
         """Node ids in dependency order (inputs first); cached at construction."""
         return self._order
 
-    def signature(self) -> tuple:
-        """Hashable identity covering structure, weights and enable flags."""
-        return (
-            tuple((n.id, n.role, n.activation) for n in self.nodes),
-            tuple((c.innovation, c.src, c.dst, c.weight, c.enabled) for c in self.connections),
-        )
-
 
 def _topological_order(nodes: tuple[NodeGene, ...], conns: tuple[ConnectionGene, ...]) -> tuple[int, ...]:
     # Kahn over every connection, enabled or not: structure itself must be

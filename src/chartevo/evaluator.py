@@ -24,12 +24,13 @@ The stacked product may sum a network's terms in another order than
 an output within a few ulps of zero can fall on the other side.
 
 Hidden units are ReLU.  One loop, :func:`_forward`, runs the live
-sub-network of :func:`live_units` in either precision.  A network with a
+sub-network of :func:`live_units` in either precision, with each dropout
+mask folded once into the next layer's weights.  A network with a
 hidden layer is scored by :func:`positive_outputs` in float32, beside an
 a-priori bound on each row's float32 error, ``c * u32 * (||x|| * ||v|| +
 beta)``, which by Cauchy-Schwarz covers ``c * u32 * (|x| . v + beta)``
 (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
-``v`` and ``beta`` come from one backward pass of the absolute kept
+``v`` and ``beta`` come from one backward pass of the absolute live
 weights and biases, ReLU is 1-Lipschitz, and ``c`` is twice the count of
 roundings on any path.  A row whose float32 output lies outside its bound
 has float64's sign; every other row (``|out32| <= bound``, or a
@@ -88,6 +89,8 @@ class EvalConfig:
             raise ConfigError("alpha must be positive")
         if not 0.0 < self.dropout_retain <= 1.0:
             raise ConfigError("dropout_retain must lie in (0, 1]")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,12 +157,13 @@ class DatasetTensors:
 def live_units(
     net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None = None
 ) -> list[np.ndarray]:
-    """Boolean mask per layer of the units that can change the output.
+    """Boolean mask per layer of the units that can change output 0.
 
     A hidden unit is dead when dropout zeroes it, when it has no non-zero
     weight from a live unit and a bias <= 0 (its ReLU always outputs 0),
     or when it has no non-zero weight into a live unit of the next layer.
-    Inputs and the output are always live.
+    Inputs are always live; of the outputs only output 0, the one a match
+    reads, is.
     """
     weights = net.weights
     live = [np.ones(weights[0].shape[0], dtype=bool)]
@@ -167,7 +171,7 @@ def live_units(
         keep = np.ones(weights[i].shape[1], dtype=bool) if masks is None else masks[i] != 0.0
         keep &= (weights[i][live[i]] != 0.0).any(axis=0) | (net.biases[i] > 0.0)
         live.append(keep)
-    live.append(np.ones(weights[-1].shape[1], dtype=bool))
+    live.append(np.arange(weights[-1].shape[1]) == 0)
     for i in range(net.n_hidden_layers, 0, -1):
         live[i] &= (weights[i][:, live[i + 1]] != 0.0).any(axis=1)
     return live
@@ -206,18 +210,25 @@ def _check_inputs(net: PhenotypeNetwork, X: np.ndarray, masks) -> None:
 
 
 def _live_subnet(net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None) -> tuple:
-    """``(weights, biases, masks)`` of the sub-network of :func:`live_units`."""
+    """``(weights, biases)`` of the sub-network of :func:`live_units`, each dropout
+    mask multiplied into the rows of the next layer's weights.
+
+    ``(relu(z) * m) @ w == relu(z) @ (m[:, None] * w)`` for any sign of ``m``,
+    so the masked net is this plain one; the slices are fresh copies, so the
+    masks fold in place.
+    """
     live = live_units(net, masks)
     weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
     biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
-    kept_masks = None if masks is None else [m[keep] for m, keep in zip(masks, live[1:])]
-    return weights, biases, kept_masks
+    for w, m, keep in zip(weights[1:], masks or (), live[1:]):
+        w *= m[keep][:, None]
+    return weights, biases
 
 
-def _forward(X: np.ndarray, weights: list, biases: list, masks: list | None = None,
+def _forward(X: np.ndarray, weights: list, biases: list,
              workspace: np.ndarray | None = None) -> np.ndarray:
     """Output column 0 of a ReLU net in the precision of ``X`` and the weights; a first
-    bias of None rides in ``X``'s ones column, and ``masks`` scale hidden layers after ReLU.
+    bias of None rides in ``X``'s ones column.
 
     The hidden layers are written one after another into contiguous views of
     ``workspace``, a flat buffer of ``X``'s dtype; one is allocated if not given.
@@ -226,14 +237,12 @@ def _forward(X: np.ndarray, weights: list, biases: list, masks: list | None = No
     if workspace is None:
         workspace = np.empty(n * sum(widths), X.dtype)
     h, used = X, 0
-    for i, (w, b, width) in enumerate(zip(weights[:-1], biases, widths)):
+    for w, b, width in zip(weights[:-1], biases, widths):
         h = np.matmul(h, w, out=workspace[used:used + n * width].reshape(n, width))
         used += n * width
         if b is not None:
             h += b
         np.maximum(h, 0.0, out=h)
-        if masks is not None:
-            h *= masks[i]
     out = h @ weights[-1]
     out += biases[-1]
     return out[:, 0]
@@ -244,13 +253,14 @@ def forward_output(
     X: np.ndarray,
     masks: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Output preactivations, shape (n,); optional fixed dropout masks.
+    """Preactivations of output 0, shape (n,); optional fixed dropout masks.
 
     ``masks`` holds one per hidden layer (scaled keep/drop factors); the
     output layer is never masked.  Only the sub-network of
-    :func:`live_units` is run, over all of ``X`` in one pass: dead units
-    contribute exact zeros, so the result equals the dense pass up to
-    summation order.
+    :func:`live_units` is run, each mask folded into the next layer's
+    weights, over all of ``X`` in one pass: dead units contribute exact
+    zeros, so the result equals the dense pass up to rounding (summation
+    order, and each mask multiplied into weights rather than activations).
     """
     _check_inputs(net, X, masks)
     return _forward(X, *_live_subnet(net, masks))
@@ -306,12 +316,11 @@ def positive_outputs(
     ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
     is: its cached ``X32``, ``x_max``, ``x_norms`` and workspace are used,
     else they are built here, ``X32`` and ``x_norms`` one block at a time.
-    The live sub-network, sliced once, runs in float32 with the first bias
-    in the ones column and each dropout mask folded into the next layer's
-    weights (``relu(z) * m == relu(z * m)`` for ``m >= 0``), ``ROW_BLOCK``
-    rows at a time through one float32 workspace.  A row whose float32
-    output lies outside the error bound of :func:`_error_bound` keeps its
-    float32 sign, which is the float64 sign; the bound is per row and holds
+    The live sub-network of :func:`_live_subnet`, sliced once with its
+    masks folded in, runs in float32 with the first bias in the ones column,
+    ``ROW_BLOCK`` rows at a time through one float32 workspace.  A row whose
+    float32 output lies outside the error bound of :func:`_error_bound` keeps
+    its float32 sign, which is the float64 sign; the bound is per row and holds
     for any summation order, so blocking moves no flag.  Every other row
     (NaN compares false) is gathered and re-run once in float64 on the same
     slice, where a row within a few float64 ulps of zero may round to the
@@ -322,20 +331,16 @@ def positive_outputs(
     _check_inputs(net, X, masks)
     if not net.n_hidden_layers:
         return forward_output(net, X, masks) > 0.0
-    weights, biases, kept_masks = _live_subnet(net, masks)
+    weights, biases = _live_subnet(net, masks)
     flags = np.empty(len(X), dtype=bool)
     rows = slice(None)  # the rows float64 decides: all, unless float32 certifies some
-    if all(len(b) for b in biases[:-1]) and all((m >= 0.0).all() for m in masks or ()):
-        folded = [w if not i or masks is None else w * kept_masks[i - 1][:, None]
-                  for i, w in enumerate(weights)]
-        folded[-1] = folded[-1][:, :1]  # forward_output's output
-        folded_biases = biases[:-1] + [biases[-1][:1]]
+    if all(len(b) for b in biases[:-1]):
         x_max = _max_magnitude(X) if tensors is None else tensors.x_max
-        bound = _error_bound(folded, folded_biases, x_max)
+        bound = _error_bound(weights, biases, x_max)
         if bound is not None:
             slope, offset = bound
-            w32 = [w.astype(np.float32) for w in [np.vstack([folded[0], biases[0]])] + folded[1:]]
-            b32 = [None] + [b.astype(np.float32) for b in folded_biases[1:]]
+            w32 = [w.astype(np.float32) for w in [np.vstack([weights[0], biases[0]])] + weights[1:]]
+            b32 = [None] + [b.astype(np.float32) for b in biases[1:]]
             size = min(len(X), ROW_BLOCK) * sum(net.layer_sizes[1:-1])
             workspace = np.empty(size, np.float32) if tensors is None else tensors.workspace(size)
             certain = np.empty(len(X), dtype=bool)
@@ -347,13 +352,13 @@ def positive_outputs(
                         x_norms = _row_norms(X32)
                     else:
                         X32, x_norms = tensors.X32[block], tensors.x_norms[block]
-                    out = _forward(X32, w32, b32, None, workspace)
+                    out = _forward(X32, w32, b32, workspace)
                     flags[block] = out > 0.0
                     certain[block] = np.abs(out) > slope * x_norms + offset
             rows = np.flatnonzero(~certain)
     X_rows = X[rows]
     if len(X_rows):
-        flags[rows] = _forward(X_rows, weights, biases, kept_masks) > 0.0
+        flags[rows] = _forward(X_rows, weights, biases) > 0.0
     return flags
 
 

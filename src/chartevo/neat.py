@@ -91,6 +91,8 @@ class EvolutionConfig:
             raise ConfigError("elitism settings out of range")
         if self.stagnation_limit < 1:
             raise ConfigError("stagnation_limit must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
 
 
 def decayed_rate(base: float, decay: float, generation: int) -> float:

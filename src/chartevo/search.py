@@ -210,19 +210,19 @@ def _select_pattern(
 ) -> SelectedPattern:
     """Re-score distinct champions on validation, keep the best, test it once.
 
-    Champions are walked in generation order, the first of each signature
-    scored; a strict ``>`` keeps the earliest generation among equal scores.
+    Champions are walked in generation order, the first of each distinct
+    genome scored; a strict ``>`` keeps the earliest generation among equal
+    scores.
     """
     validation = tensors.get("validation")
     if validation is None:
         log.warning("no validation split; selecting on recorded training fitness")
-    seen: set[tuple] = set()
+    seen: set[cppn.CppnGenome] = set()
     best = None  # (score, champion, network) of the best champion so far
     for champ in run.champions:
-        signature = champ.genome.signature()
-        if signature in seen:
+        if champ.genome in seen:
             continue
-        seen.add(signature)
+        seen.add(champ.genome)
         candidate = express(champ.genome, spec)
         score = (champ.train_report.fitness if validation is None
                  else fitness(candidate, validation, clean_config).fitness)

@@ -14,6 +14,7 @@ scaling) to keep the forward variance of the ReLU phenotype in check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -233,9 +234,9 @@ def phenotype_from_text(text: str) -> PhenotypeNetwork:
 
     Any malformation raises ``ValueError`` naming the line: a missing or
     mangled section header, a row with the wrong number of values, an
-    activation line other than ``activation relu``, or a document cut
-    short (the writer always ends with a newline, so a cut inside the
-    last number is caught too).
+    activation line other than ``activation relu``, a value that is not
+    finite, or a document cut short (the writer always ends with a newline,
+    so a cut inside the last number is caught too).
     """
     if not text.endswith("\n"):
         raise ValueError("document is truncated (no final newline)")
@@ -257,7 +258,10 @@ def phenotype_from_text(text: str) -> PhenotypeNetwork:
         words = take(what)
         if len(words) != count:
             raise ValueError(f"line {pos}: expected {count} values, got {len(words)}")
-        return [float(v) for v in words]
+        row = [float(v) for v in words]
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {pos}: values must be finite")
+        return row
 
     if take("the header") != [PHENOTYPE_MAGIC, str(PHENOTYPE_VERSION)]:
         raise ValueError(f"not a {PHENOTYPE_MAGIC} version {PHENOTYPE_VERSION} document")

@@ -51,6 +51,8 @@ class SynthConfig:
             raise ConfigError("motif_amplitude must be >= 0")
         if self.warmup_days < 1:
             raise ConfigError("warmup_days must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

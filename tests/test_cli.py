@@ -24,6 +24,7 @@ from chartevo.cli import (
     stream_seed,
 )
 from chartevo import types
+from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
 from chartevo.types import CorpusFormatError, load_dataset, save_dataset
 
 
@@ -91,6 +92,13 @@ class TestParser:
                 main(argv + ["--corpus", str(tmp_path), "--substrate", "bogus"])
             assert exc.value.code == 2, argv[0]
 
+    def test_negative_seed_rejected_by_parser(self, tmp_path):
+        for argv in (["synth", "--out", str(tmp_path)],
+                     ["search", "--corpus", str(tmp_path), "--out", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--seed", "-1"])
+            assert exc.value.code == 2, argv[0]
+
     def test_workers_flag_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["search", "--corpus", str(tmp_path), "--out", str(tmp_path),
@@ -131,7 +139,8 @@ class TestDiagnostics:
         assert code == 1
         assert "bogus_knob" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["ten", [10], None], ids=["string", "list", "null"])
+    @pytest.mark.parametrize("value", ["ten", [10], None, 4.5, True],
+                             ids=["string", "list", "null", "float", "bool"])
     def test_wrong_typed_config_value(self, pipeline, tmp_path, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"evolution": {"population_size": value}}))
@@ -158,7 +167,6 @@ class TestDiagnostics:
         (partial / "training.npz").write_bytes(data)
         pattern = tmp_path / "p.net"
         # build a trivially valid phenotype to get past parsing
-        from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
         net = PhenotypeNetwork((np.zeros((64, 1)),), (np.zeros(1),))
         pattern.write_text(phenotype_to_text(net))
         code = main(["evaluate", "--corpus", str(partial), "--pattern", str(pattern),
@@ -168,7 +176,6 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("command", ["evaluate", "export-overlay"])
     def test_pattern_width_mismatch(self, pipeline, tmp_path, command):
-        from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
         pattern = tmp_path / "narrow.net"
         pattern.write_text(phenotype_to_text(PhenotypeNetwork((np.ones((3, 1)),), (np.zeros(1),))))
         overlay = tmp_path / "overlay.csv"
@@ -604,7 +611,20 @@ def _set_config(section, key, value):
     return damage
 
 
-# case -> (command, damage to a copy of the pipeline's price directory and config)
+def _first_weight_row(value):
+    def damage(prices, config):
+        path = prices.parent / "pattern.net"
+        lines = path.read_text().splitlines()
+        lines[4] = " ".join([value] * len(lines[4].split()))
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+# a valid pattern for the pipeline's 64-value charts, with one hidden layer
+PATTERN = PhenotypeNetwork((np.ones((64, 2)), np.ones((2, 1))), (np.zeros(2), np.zeros(1)))
+
+# case -> (command and extra flags, damage to copies of the pipeline's price
+# directory, of the pattern file beside it and of the config)
 MALFORMED_INPUTS = {
     "price index is a list": ("preprocess", lambda p, c: (p / "instruments.json").write_text("[]\n")),
     "index entry without file": ("preprocess", _edit_index(lambda i: i["instruments"][0].pop("file"))),
@@ -623,25 +643,43 @@ MALFORMED_INPUTS = {
     "evolution section is a list": ("search", _set_config(None, "evolution", [])),
     "search.activation": ("search", _set_config("search", "activation", "sigmoid")),
     "search.scaling": ("search", _set_config("search", "scaling", "none")),
+    "synth.seed is negative": ("synth", _set_config("synth", "seed", -1)),
+    "synth.n_days is fractional": ("synth", _set_config("synth", "n_days", 600.5)),
+    "evolution.rng_seed is negative": ("search", _set_config("evolution", "rng_seed", -1)),
+    "eval.rng_seed is negative": ("search", _set_config("eval", "rng_seed", -1)),
+    "eval.alpha is a bool": ("evaluate", _set_config("eval", "alpha", True)),
+    "alpha flag is nan": ("search --alpha nan", lambda p, c: None),
+    "pattern weight nan, evaluate": ("evaluate", _first_weight_row("nan")),
+    "pattern weight inf, evaluate": ("evaluate", _first_weight_row("inf")),
+    "pattern weight nan, export-overlay": ("export-overlay", _first_weight_row("nan")),
+    "pattern weight inf, export-overlay": ("export-overlay", _first_weight_row("inf")),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_gives_one_error_line(pipeline, tmp_path, case):
-    command, damage = MALFORMED_INPUTS[case]
+    spec, damage = MALFORMED_INPUTS[case]
+    command, *flags = spec.split()
     prices = tmp_path / "prices"
     shutil.copytree(pipeline["prices"], prices)
+    pattern = tmp_path / "pattern.net"
+    pattern.write_text(phenotype_to_text(PATTERN))
     config = json.loads(pipeline["config"].read_text())
     damage(prices, config)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
-    if command == "preprocess":
-        argv = ["preprocess", "--prices", str(prices), "--out", str(tmp_path / "corpus")]
-    else:
-        argv = ["search", "--corpus", str(pipeline["corpus"]), "--out", str(tmp_path / "run")]
+    corpus = str(pipeline["corpus"])
+    argv = {
+        "synth": ["--out", str(tmp_path / "synth")],
+        "preprocess": ["--prices", str(prices), "--out", str(tmp_path / "corpus")],
+        "search": ["--corpus", corpus, "--out", str(tmp_path / "run")],
+        "evaluate": ["--corpus", corpus, "--pattern", str(pattern), "--k", "20"],
+        "export-overlay": ["--corpus", corpus, "--pattern", str(pattern),
+                           "--out", str(tmp_path / "overlay.csv")],
+    }[command]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv + ["--config", str(config_path)])
+        code = main([command, *argv, *flags, "--config", str(config_path)])
     assert code == 1
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("chartevo: ")

@@ -470,7 +470,6 @@ class TestSerialization:
         g = random_genome(np.random.default_rng(seed))
         again = from_text(to_text(g))
         assert again == g
-        assert again.signature() == g.signature()
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

@@ -246,6 +246,18 @@ class TestPrunedForward:
         assert [m.tolist() for m in live[1:3]] == [[False, True, False, False],
                                                   [False, True, False]]
 
+    def test_only_output_0_is_live(self):
+        # hidden unit 1 feeds only output 1, which no match reads
+        w0 = np.array([[1.0, 1.0], [0.5, -1.0]])
+        w1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        net = PhenotypeNetwork((w0, w1), (np.array([0.1, 0.2]), np.zeros(2)))
+        live = live_units(net)
+        assert [m.tolist() for m in live] == [[True, True], [True, False], [True, False]]
+        X = np.random.default_rng(7).normal(size=(20, 2))
+        reference = dense_forward(net, X)
+        np.testing.assert_allclose(forward_output(net, X), reference, rtol=1e-15)
+        assert np.array_equal(positive_outputs(net, X), reference > 0.0)
+
     @given(
         seed=st.integers(0, 2**31 - 1),
         n_hidden=st.integers(1, 3),
@@ -292,7 +304,7 @@ class TestCertifiedSigns:
     @given(
         seed=st.integers(0, 2**31 - 1),
         n_hidden=st.integers(1, 3),
-        dropout=st.booleans(),
+        dropout=st.sampled_from(["none", "inverted", "signed"]),
         dead_layer=st.one_of(st.none(), st.integers(0, 2)),
         values=st.sampled_from(["normal", "dyadic", "huge"]),
     )
@@ -300,19 +312,29 @@ class TestCertifiedSigns:
         rng = np.random.default_rng(seed)
         net = sparse_net(rng, n_hidden, dead_layer)
         n = 200
+
+        def draw_masks(retain):
+            # signed masks fold into the weights like inverted-dropout ones
+            if dropout == "none":
+                return None
+            masks = dropout_masks(net, retain, rng)
+            if dropout == "signed":
+                masks = [m * rng.choice([-1.0, 1.0], size=m.shape) for m in masks]
+            return masks
+
         if values == "dyadic":
             # multiples of 1/8 with masks of 2: every float64 sum is exact in any order
             snap = [np.round(a * 8.0) / 8.0 for a in (*net.weights, *net.biases)]
             net = PhenotypeNetwork(tuple(snap[:len(net.weights)]),
                                    tuple(snap[len(net.weights):]))
-            masks = dropout_masks(net, 0.5, rng) if dropout else None
+            masks = draw_masks(0.5)
             X = dyadic(rng, (n, 6), 2)
             X[1:40] = X[0] + dyadic(rng, (39, 6), 1) * (rng.random((39, 1)) < 0.5)
         else:
             if values == "huge":
                 # float32 overflows, float64 does not
                 net = PhenotypeNetwork(tuple(w * 1e20 for w in net.weights), net.biases)
-            masks = dropout_masks(net, 0.6, rng) if dropout else None
+            masks = draw_masks(0.6)
             X = rng.normal(size=(n, 6))
             # rows 1..99 lie within 1e-12..1e-3 of row 0, on both sides
             t = rng.choice([-1.0, 1.0], size=(99, 1)) * 10.0 ** rng.uniform(-12, -3, size=(99, 1))

@@ -287,7 +287,7 @@ class TestCrossover:
     def test_identical_parents(self):
         g = minimal_genome(np.random.default_rng(1))
         child = crossover(g, g, 1.0, 1.0, np.random.default_rng(2))
-        assert child.signature() == g.signature()
+        assert child == g
 
     def test_fitter_structure_wins(self):
         rng = np.random.default_rng(3)
@@ -655,7 +655,7 @@ class TestEvolutionLoop:
             for g in range(8):
                 fits = [self.synthetic_fitness(x) for x in evo.population]
                 evo.advance(fits, reproduce_population=g < 7)
-                trace.append((tuple(x.signature() for x in evo.population), evo.threshold))
+                trace.append((tuple(evo.population), evo.threshold))
             runs.append(trace)
         assert runs[0] == runs[1]
 
@@ -735,9 +735,7 @@ class TestCheckpoint:
         resumed, history, champions = self.load(path, cfg)
         assert history == [] and champions == []
         resumed = run(resumed, resumed.generation, 6)
-        assert [g.signature() for g in resumed.population] == [
-            g.signature() for g in straight.population
-        ]
+        assert resumed.population == straight.population
         assert resumed.threshold == straight.threshold
         assert resumed.rng.bit_generator.state == straight.rng.bit_generator.state
 

@@ -163,8 +163,8 @@ class TestRunSearchBehavior:
 
 
 class TestPatternSelection:
-    """The first champion of each signature is scored once, the highest score
-    wins, and the earliest generation wins a tie."""
+    """The first champion of each distinct genome is scored once, the highest
+    score wins, and the earliest generation wins a tie."""
 
     # genome seed of each generation's champion; generations 1, 4 and 5 repeat one
     SEEDS = (0, 0, 1, 2, 1, 2)
@@ -173,7 +173,7 @@ class TestPatternSelection:
 
     def _select(self, monkeypatch, splits):
         genomes = {seed: minimal_genome(np.random.default_rng(seed)) for seed in self.SCORES}
-        assert len({g.signature() for g in genomes.values()}) == len(genomes)
+        assert len(set(genomes.values())) == len(genomes)
         run = SearchRun(run_id="demo", substrate="template", k=5)
         run.champions = [
             ChampionRecord(g, genomes[seed], FitnessReport.from_stats(5, 1, self.SCORES[seed], 1.0))
@@ -210,7 +210,7 @@ class TestPatternSelection:
         selected, calls = self._select(monkeypatch, ("training", "validation", "test"))
         assert selected.generation == 2
         assert selected.reports["validation"].fitness == 0.3
-        # one validation scoring per distinct signature, then the winner's report
+        # one validation scoring per distinct genome, then the winner's report
         assert [seed for split, seed in calls if split == "validation"] == [0, 1, 2, 1]
         assert [c for c in calls if c[0] != "validation"] == [("training", 1), ("test", 1)]
 
@@ -382,4 +382,4 @@ class TestReporting:
         for split in ("training", "validation", "test"):
             assert f"[{split}]" in report
         parsed = cppn.from_text((tmp_path / "pattern.cppn").read_text())
-        assert parsed.signature() == run.selected.genome.signature()
+        assert parsed == run.selected.genome
