@@ -141,10 +141,10 @@ def _parse_date(value) -> datetime.date:
 
 def _convert_preprocess_section(section: dict) -> dict:
     if "horizons" in section:
-        try:
-            section["horizons"] = tuple(int(k) for k in section["horizons"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"preprocess.horizons must be a list of integers ({exc})") from exc
+        horizons = section["horizons"]
+        if not isinstance(horizons, list) or any(type(k) is not int for k in horizons):
+            raise ConfigError(f"preprocess.horizons must be a list of integers, got {horizons!r}")
+        section["horizons"] = tuple(horizons)
     if "split_ranges" in section:
         ranges = section["split_ranges"]
         if not isinstance(ranges, dict):
@@ -245,12 +245,16 @@ def _cmd_preprocess(args) -> int:
     section = _convert_preprocess_section(section)
     config = _build_config(PreprocessConfig, "preprocess", section, {})
     series_list = load_price_directory(args.prices)
-    corpus = build_corpus(series_list, config)
-    inputs = [os.path.join(args.prices, INSTRUMENT_INDEX)]
-    write_manifest(args.out, "preprocess", {"preprocess": config}, None, inputs)
-    for name, dataset in corpus.items():
+    # each split is built, written and dropped before the next is built
+    for name, span in config.split_ranges.items():
+        (dataset,) = build_corpus(series_list, dataclasses.replace(
+            config, split_ranges={name: span})).values()
+        os.makedirs(args.out, exist_ok=True)
         save_dataset(os.path.join(args.out, f"{name}.npz"), dataset)
         print(f"{name}: {len(dataset)} charts")
+        del dataset
+    inputs = [os.path.join(args.prices, INSTRUMENT_INDEX)]
+    write_manifest(args.out, "preprocess", {"preprocess": config}, None, inputs)
     return 0
 
 
@@ -340,6 +344,9 @@ def _cmd_evaluate(args) -> int:
     config = _build_config(EvalConfig, "eval", section,
                            {"k": args.k, "alpha": args.alpha, "dropout_enabled": False})
     dataset, net = _load_pattern(args)
+    if config.k not in dataset.horizons:
+        raise ConfigError(f"k={config.k} is not a horizon of the {dataset.split} split "
+                          f"(its horizons are {', '.join(map(str, dataset.horizons))})")
     report = fitness(net, dataset, config)
     sys.stdout.write(report.to_text())
     if args.out:

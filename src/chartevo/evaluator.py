@@ -408,9 +408,17 @@ def fitness(
     config: EvalConfig,
     masks: Sequence[np.ndarray] | None = None,
 ) -> FitnessReport:
-    """Score one network on one split."""
+    """Score one network on one split.
+
+    Given :class:`DatasetTensors`, their cached float32 copy and row norms
+    are used (and kept for the next network).  A :class:`Dataset` is read
+    once, so the float32 copy and the norms are built one ``ROW_BLOCK`` at
+    a time and never for the whole split; the flags are the same.
+    """
     tensors = _as_tensors(data, config.k)
-    return _report(match_flags(net, tensors, masks), tensors, config)
+    cache = tensors if isinstance(data, DatasetTensors) else None
+    flags = positive_outputs(net, tensors.X, masks, cache) & ~tensors.limit_hit
+    return _report(flags, tensors, config)
 
 
 def _report(flags: np.ndarray, tensors: DatasetTensors, config: EvalConfig) -> FitnessReport:

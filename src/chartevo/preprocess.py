@@ -19,6 +19,7 @@ forward return at some horizon is NaN rather than dropping the chart.
 """
 from __future__ import annotations
 
+import bisect
 import datetime
 import json
 import logging
@@ -74,6 +75,8 @@ class PreprocessConfig:
             raise ConfigError("limit_threshold must be positive")
         object.__setattr__(self, "horizons", tuple(int(k) for k in self.horizons))
         ranges = dict(self.split_ranges)
+        if not ranges:
+            raise ConfigError("no split ranges configured")
         for name in ranges:
             if name not in SPLIT_NAMES:
                 raise ConfigError(f"unknown split {name!r}")
@@ -192,16 +195,27 @@ def entry_ordinals(series: PriceSeries, config: PreprocessConfig) -> np.ndarray:
     return np.fromiter((day.toordinal() for day in series.dates[first:]), np.int64)
 
 
-def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> Dataset:
-    """All tradeable charts for one instrument, in entry-date order.
+def charts_from_series(series: PriceSeries, config: PreprocessConfig,
+                       rows: slice | None = None) -> Dataset:
+    """One instrument's tradeable charts, in entry-date order: those of the
+    chart indices in ``rows`` (a step-1 slice), or all of them.
 
-    The result is an unsplit block (``split`` is None).
+    Chart r enters on raw day r + s + w and is built from raw days
+    r .. r + s + w - 1, so only the closes of the requested charts are
+    smoothed and windowed; returns and limit flags read the raw closes
+    from each entry day on.  The result is an unsplit block (``split`` is
+    None).
     """
     w, s = config.smoothing_window, config.slice_window
-    smoothed = smooth(series, w)
-    ordinals = entry_ordinals(series, config)
+    first = s + w
+    lo, hi, _ = (slice(None) if rows is None else rows).indices(max(len(series) - first, 0))
+    hi = max(lo, hi)
+    part = PriceSeries(series.instrument_id, series.dates[lo:hi + first],
+                       series.closes[lo:hi + first])
+    smoothed = smooth(part, w)
+    ordinals = entry_ordinals(part, config)
     m = len(ordinals)
-    entries = np.arange(len(series) - m, len(series))
+    entries = np.arange(lo + len(part) - m, lo + len(part))
     horizons = tuple(sorted(config.horizons))
     return Dataset(
         split=None,
@@ -217,30 +231,31 @@ def charts_from_series(series: PriceSeries, config: PreprocessConfig) -> Dataset
 def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) -> dict[str, Dataset]:
     """Preprocess every series and bucket charts into splits by entry date.
 
-    Charts whose entry date falls outside every configured range are
-    discarded.  Instruments are processed in id order so the result is
+    Charts whose entry date falls outside every configured range are not
+    built.  Instruments are processed in id order so the result is
     independent of input ordering.  Each split's columns are allocated
-    once, sized from the entry dates alone, and filled one instrument at a
-    time, so only one instrument's charts exist beside the splits.
+    once, sized from the entry dates alone, and filled with one
+    instrument's charts of that split at a time, so only those exist
+    beside the splits; a caller that holds one split at a time passes a
+    config with that one split range.
     """
-    if not config.split_ranges:
-        raise ConfigError("no split ranges configured")
     ids = [s.instrument_id for s in series_set]
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate instrument ids in input")
     ordered = sorted(series_set, key=lambda s: s.instrument_id)
     horizons = tuple(sorted(config.horizons))
-    bounds = [[span.start.toordinal(), span.end.toordinal() + 1]
-              for span in config.split_ranges.values()]
-    # an instrument's entry ordinals ascend, so each split is one row range of its charts
-    ranges = [[np.searchsorted(ordinals, b) for b in bounds]
-              for ordinals in (entry_ordinals(s, config) for s in ordered)]
+    first = config.slice_window + config.smoothing_window
+    # chart r enters on day first + r and dates ascend, so each split is one
+    # range of an instrument's charts, found by bisection on its entry days
+    rows = [[slice(bisect.bisect_left(s.dates, span.start, first) - first,
+                   bisect.bisect_right(s.dates, span.end, first) - first)
+             for span in config.split_ranges.values()] for s in ordered]
     splits = {}
     for j, name in enumerate(config.split_ranges):
-        rows = [hi - lo for lo, hi in (r[j] for r in ranges)]
-        n = sum(rows)
+        counts = [r[j].stop - r[j].start for r in rows]
+        n = sum(counts)
         # the widest id with rows in this split: the dtype np.concatenate would give
-        width = max((len(s.instrument_id) for s, k in zip(ordered, rows) if k), default=0)
+        width = max((len(s.instrument_id) for s, k in zip(ordered, counts) if k), default=0)
         splits[name] = {
             "values": np.empty((n, config.chart_steps, CHART_CHANNELS)),
             "returns": np.empty((n, len(horizons))),
@@ -249,23 +264,20 @@ def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) ->
             "source_ids": np.empty(n, f"<U{width}"),
         }
     filled = dict.fromkeys(splits, 0)
-    total = 0
-    for series, split_rows in zip(ordered, ranges):
-        block = charts_from_series(series, config)
-        total += len(block)
-        for name, (lo, hi) in zip(splits, split_rows):
+    for series, split_rows in zip(ordered, rows):
+        for name, part in zip(splits, split_rows):
+            if part.stop == part.start:
+                continue
+            block = charts_from_series(series, config, part)
             start = filled[name]
             for column, out in splits[name].items():
-                out[start:start + hi - lo] = getattr(block, column)[lo:hi]
-            filled[name] = start + hi - lo
-        del block  # freed before the next instrument's charts are built
+                out[start:start + len(block)] = getattr(block, column)
+            filled[name] = start + len(block)
+            del block  # freed before the next block is built
     corpus = {name: Dataset(name, horizons, **columns) if filled[name]
               else Dataset.empty(name, horizons, config.chart_steps)
               for name, columns in splits.items()}
-    log.info(
-        "corpus: %d charts from %d instruments (%d outside split ranges)",
-        total, len(series_set), total - sum(filled.values()),
-    )
+    log.info("corpus: %d charts from %d instruments", sum(filled.values()), len(series_set))
     for name, dataset in corpus.items():
         log.info("corpus: split %s has %d charts", name, len(dataset))
     return corpus

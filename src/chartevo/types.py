@@ -207,6 +207,19 @@ def atomic_open(path, mode: str, **kwargs):
         raise
 
 
+def _write_npy(archive: zipfile.ZipFile, name: str, array: np.ndarray) -> None:
+    """Add ``array`` to ``archive`` as the member ``<name>.npy``, the bytes ``np.savez`` writes.
+
+    The data go out as one view of the array's own buffer (bytes for a
+    ``<U`` column, whose buffer format memoryview cannot read), not as
+    the 16 MiB copies that ``np.lib.format.write_array`` makes on the way.
+    """
+    array = np.ascontiguousarray(array)
+    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+        np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+        member.write(memoryview(array.reshape(-1).view(np.uint8)))
+
+
 def save_dataset(path, dataset: Dataset) -> None:
     """Write a Dataset to ``path`` as an uncompressed npz archive, atomically.
 
@@ -214,8 +227,10 @@ def save_dataset(path, dataset: Dataset) -> None:
     is bit-identical; a JSON ``header`` member holds the split, the row
     count and the horizons.  Members are stored, not deflated: zlib would
     cost more time than the corpus takes to build, and zipfile's CRC
-    check still catches a damaged member on load.  The write goes through
-    :func:`atomic_open`, so a failed one leaves any previous file in place.
+    check still catches a damaged member on load.  Each member is written
+    straight from its column (:func:`_write_npy`), so saving holds no copy
+    of the split.  The write goes through :func:`atomic_open`, so a failed
+    one leaves any previous file in place.
     """
     header = json.dumps(
         {
@@ -227,12 +242,10 @@ def save_dataset(path, dataset: Dataset) -> None:
         },
         sort_keys=True,
     )
-    with atomic_open(path, "wb") as fh:
-        np.savez(
-            fh,
-            header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8),
-            **{name: getattr(dataset, name) for name in COLUMNS},
-        )
+    with atomic_open(path, "wb") as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as archive:
+        _write_npy(archive, "header", np.frombuffer(header.encode("utf-8"), dtype=np.uint8))
+        for name in COLUMNS:
+            _write_npy(archive, name, getattr(dataset, name))
 
 
 def load_dataset(path) -> Dataset:

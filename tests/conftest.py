@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import hypothesis
 
 hypothesis.settings.register_profile(
@@ -7,6 +9,19 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("chartevo")
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the call's result and tracemalloc's peak of the bytes it
+    allocated, tracing started just before the call and stopped after it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
 
 # pass/fail ledger for the acceptance suite; each criterion registers a
 # line here and the terminal summary prints them all

@@ -637,6 +637,9 @@ MALFORMED_INPUTS = {
     "training range with a bad date": (
         "preprocess", lambda p, c: c["preprocess"]["split_ranges"].update(training=["2012-13-01", "2012-12-31"])),
     "horizons are not integers": ("preprocess", _set_config("preprocess", "horizons", ["x"])),
+    "horizons are a string of digits": ("preprocess", _set_config("preprocess", "horizons", "25")),
+    "horizons hold a float and a bool": (
+        "preprocess", _set_config("preprocess", "horizons", [20.7, True])),
     "training range with one date": (
         "preprocess", lambda p, c: c["preprocess"]["split_ranges"].update(training=["2012-01-01"])),
     "split_ranges is a number": ("preprocess", _set_config("preprocess", "split_ranges", 5)),
@@ -649,6 +652,7 @@ MALFORMED_INPUTS = {
     "eval.rng_seed is negative": ("search", _set_config("eval", "rng_seed", -1)),
     "eval.alpha is a bool": ("evaluate", _set_config("eval", "alpha", True)),
     "alpha flag is nan": ("search --alpha nan", lambda p, c: None),
+    "k is not a corpus horizon": ("evaluate --k 7", lambda p, c: None),
     "pattern weight nan, evaluate": ("evaluate", _first_weight_row("nan")),
     "pattern weight inf, evaluate": ("evaluate", _first_weight_row("inf")),
     "pattern weight nan, export-overlay": ("export-overlay", _first_weight_row("nan")),

@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import datetime
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
 from chartevo.evaluator import (
@@ -475,19 +475,56 @@ class TestRowBlocks:
         rng = np.random.default_rng(12)
         net = random_net(rng, sizes=(64, 192, 48, 1))
         masks = dropout_masks(net, 0.8, rng)
-        tracemalloc.start()
-        try:
+
+        def score():
             dataset = make_dataset(rng.normal(scale=0.05, size=(n, 32, 2)),
                                    rng.normal(scale=0.1, size=(n, 2)))
-            report = fitness(net, dataset, EvalConfig(k=5, alpha=1e5), masks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return dataset, fitness(net, dataset, EvalConfig(k=5, alpha=1e5), masks)
+
+        (dataset, report), peak = traced_peak(score)
         assert report.match_count > 0
         columns = sum(getattr(dataset, column).nbytes for column in COLUMNS)
-        x32 = n * 65 * 4
         workspace = block * sum(net.layer_sizes[1:-1]) * 4
-        assert peak < columns + x32 + 2 * workspace
+        # no float32 copy of the split: X32 and the row norms exist one block at a time
+        assert peak < columns + 2 * workspace
+
+    def test_dataset_and_tensors_give_equal_flags(self, monkeypatch):
+        # grown genomes on the network substrate, each output bias set to the median
+        # output so that half the charts match and many lie near the boundary
+        import chartevo.evaluator as evaluator
+        from chartevo.neat import EvolutionConfig, InnovationRegistry, mutate
+
+        n = 2 * ROW_BLOCK + 100
+        rng = np.random.default_rng(21)
+        returns = rng.normal(scale=0.1, size=(n, 2))
+        returns[rng.random(n) < 0.05, 0] = np.nan
+        dataset = make_dataset(rng.normal(scale=0.05, size=(n, 32, 2)), returns,
+                               limit=rng.random(n) < 0.1)
+        tensors = DatasetTensors.from_dataset(dataset, 5)
+        grow = EvolutionConfig(population_size=2, generations=1, add_connection_rate=0.5,
+                               add_node_rate=0.5)
+        registry = InnovationRegistry.primed()
+        nets = []
+        while len(nets) < 4:  # grown nets whose output differs on every chart
+            genome = minimal_genome(rng)
+            for generation in range(len(nets) + 2):
+                genome = mutate(genome, grow, generation, registry, rng)
+            net = express(genome, standard_substrates()["network"])
+            out = forward_output(net, tensors.X)
+            if len(np.unique(out)) == len(out):
+                nets.append(PhenotypeNetwork(net.weights,
+                                             net.biases[:-1] + (net.biases[-1] - np.median(out),)))
+        real, rows = evaluator.float32_with_ones, []
+        monkeypatch.setattr(evaluator, "float32_with_ones", lambda X: rows.append(len(X)) or real(X))
+        config = EvalConfig(k=5, alpha=1e4, dropout_enabled=False)
+        for net in nets:
+            rows.clear()
+            report = fitness(net, dataset, config)
+            assert max(rows, default=0) <= ROW_BLOCK
+            flags = positive_outputs(net, tensors.X) & ~tensors.limit_hit
+            assert np.array_equal(flags, match_flags(net, tensors))
+            assert report == fitness(net, tensors, config)
+            assert 0 < report.match_count < len(tensors)
 
 
 class TestPenalty:

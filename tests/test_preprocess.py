@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import datetime
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings, strategies as st
 
+from chartevo import preprocess
+from chartevo.cli import main
 from chartevo.preprocess import (
     PreprocessConfig,
     SplitRange,
@@ -23,7 +25,7 @@ from chartevo.preprocess import (
     write_price_directory,
 )
 from chartevo.synthdata import SynthConfig, generate
-from chartevo.types import COLUMNS, ConfigError, Dataset, PriceSeries
+from chartevo.types import COLUMNS, ConfigError, Dataset, PriceSeries, load_dataset
 
 
 def weekday_series(closes, instrument="S", start=datetime.date(2012, 1, 2)):
@@ -307,8 +309,26 @@ class TestChartsFromSeries:
     def test_all_values_finite(self):
         assert np.all(np.isfinite(charts_from_series(random_series(90, seed=11), SMALL).values))
 
+    @pytest.mark.parametrize("rows", [slice(0, 0), slice(0, 1), slice(5, 17), slice(30, 40),
+                                      slice(39, 60), slice(50, 80)])
+    def test_rows_equal_the_rows_of_every_chart(self, rows):
+        # each requested chart is built from its own closes, bit for bit
+        series = random_series(60, seed=4)
+        cfg = PreprocessConfig(smoothing_window=3, slice_window=8, downsample_factor=2,
+                               horizons=(1, 5, 30))
+        every = charts_from_series(series, cfg)
+        part = charts_from_series(series, cfg, rows)
+        assert len(every) == 49 and len(part) == len(range(49)[rows])
+        for column in COLUMNS:
+            a, b = getattr(part, column), getattr(every, column)[rows]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
 
 class TestConfigValidation:
+    def test_no_split_range_rejected(self):
+        with pytest.raises(ConfigError, match="no split ranges"):
+            PreprocessConfig(split_ranges={})
+
     def test_slice_must_divide(self):
         with pytest.raises(ConfigError):
             PreprocessConfig(slice_window=10, downsample_factor=4)
@@ -438,15 +458,67 @@ class TestBuildCorpusInPlace:
     def test_peak_memory_is_the_split_columns(self):
         # beside the split columns only one instrument's charts and temporaries are alive
         series_set, _ = generate(SynthConfig(n_instruments=30, seed=3))
-        tracemalloc.start()
-        try:
-            corpus = build_corpus(series_set, PreprocessConfig())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, peak = traced_peak(lambda: build_corpus(series_set, PreprocessConfig()))
         columns = sum(getattr(d, column).nbytes for d in corpus.values() for column in COLUMNS)
         assert columns > 16 * 2**20
         assert peak < columns + 8 * 2**20
+
+
+class TestPreprocessCommand:
+    """``chartevo preprocess`` builds, writes and drops one split at a time."""
+
+    @pytest.fixture(scope="class")
+    def prices(self, tmp_path_factory):
+        # charts enter from mid-2012 to 2017, so some fall outside every split range
+        series_set, _ = generate(SynthConfig(n_instruments=30, seed=3))
+        directory = tmp_path_factory.mktemp("prices")
+        write_price_directory(directory, series_set)
+        return directory, series_set
+
+    def _preprocess(self, prices, out):
+        assert main(["preprocess", "--prices", str(prices), "--out", str(out)]) == 0
+
+    def test_one_split_per_build_and_members_equal_concatenated(self, prices, tmp_path,
+                                                               monkeypatch):
+        import chartevo.cli as cli
+
+        directory, series_set = prices
+        built, real = [], cli.build_corpus
+        monkeypatch.setattr(cli, "build_corpus",
+                            lambda series, cfg: built.append([*cfg.split_ranges]) or real(series, cfg))
+        self._preprocess(directory, tmp_path)
+        assert built == [[name] for name in default_split_ranges()]
+        reference = concatenated_corpus(series_set, PreprocessConfig())
+        for name, expected in reference.items():
+            got = load_dataset(tmp_path / f"{name}.npz")
+            assert (got.split, got.horizons) == (expected.split, expected.horizons)
+            for column in COLUMNS:
+                a, b = getattr(got, column), getattr(expected, column)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
+    def test_builds_only_charts_in_a_split(self, prices, tmp_path, monkeypatch):
+        directory, series_set = prices
+        rows = []
+        real = preprocess.charts_from_series
+
+        def counted(*args, **kwargs):
+            block = real(*args, **kwargs)
+            rows.append(len(block))
+            return block
+
+        monkeypatch.setattr(preprocess, "charts_from_series", counted)
+        self._preprocess(directory, tmp_path)
+        kept = sum(len(load_dataset(tmp_path / f"{name}.npz")) for name in default_split_ranges())
+        every = sum(len(real(s, PreprocessConfig())) for s in series_set)
+        assert sum(rows) == kept < every
+
+    def test_peak_memory_is_the_largest_split(self, prices, tmp_path):
+        directory, _ = prices
+        _, peak = traced_peak(lambda: self._preprocess(directory, tmp_path))
+        splits = [load_dataset(tmp_path / f"{name}.npz") for name in default_split_ranges()]
+        largest = max(sum(getattr(d, column).nbytes for column in COLUMNS) for d in splits)
+        assert largest > 8 * 2**20
+        assert peak < largest + 8 * 2**20
 
 
 class TestPriceDirectory:

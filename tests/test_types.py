@@ -5,8 +5,10 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, strategies as st
 
+from chartevo import types
 from chartevo.types import (
     COLUMNS,
     CorpusFormatError,
@@ -175,11 +177,11 @@ class TestCorpusPersistence:
         save_dataset(path, make_dataset(seeds=range(3)))
         before = path.read_bytes()
 
-        def fail_partway(fh, **arrays):
-            fh.write(b"partial archive")
+        def fail_partway(archive, name, array):
+            archive.writestr(f"{name}.npy", b"partial member")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", fail_partway)
+        monkeypatch.setattr(types, "_write_npy", fail_partway)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(path, make_dataset(seeds=range(5)))
         assert path.read_bytes() == before
@@ -208,6 +210,38 @@ class TestCorpusPersistence:
             a, b = getattr(again, name), getattr(ds, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("ds", [
+        make_dataset(seeds=range(7), limit=True,
+                     returns=lambda i: {20: 0.1 * i} if i % 2 else {20: 0.05, 50: -0.01}),
+        make_dataset(seeds=[3, 1000, 5]),
+        Dataset.empty("validation", (20, 50)),
+    ], ids=["nan-returns-limit-hits", "ids-of-two-widths", "empty"])
+    def test_members_equal_np_savez(self, tmp_path, ds):
+        # every dtype a corpus holds: float64, int64, bool, <U and the uint8 header
+        path, reference = tmp_path / "written.npz", tmp_path / "savez.npz"
+        save_dataset(path, ds)
+        with np.load(path) as archive:
+            header = archive["header"]
+        np.savez(reference, header=header, **{name: getattr(ds, name) for name in COLUMNS})
+        with zipfile.ZipFile(path) as got, zipfile.ZipFile(reference) as expected:
+            assert got.namelist() == expected.namelist()
+            for member in expected.namelist():
+                assert got.read(member) == expected.read(member), member
+
+    def test_saving_holds_no_copy_of_a_column(self, tmp_path):
+        # np.savez passes each member through a 16 MiB tobytes() copy
+        n = 60_000
+        rng = np.random.default_rng(0)
+        ds = Dataset("training", (20,), rng.normal(0, 0.01, (n, 32, 2)), rng.normal(size=(n, 1)),
+                     np.full(n, 735000), rng.random(n) < 0.1,
+                     np.array([f"I{i % 997:04d}" for i in range(n)]))
+        assert ds.values.nbytes > 16 * 2**20 and ds.source_ids.nbytes > 2**20
+        _, peak = traced_peak(lambda: save_dataset(tmp_path / "training.npz", ds))
+        assert peak < 2**20
+        again = load_dataset(tmp_path / "training.npz")
+        for name in COLUMNS:
+            assert getattr(again, name).tobytes() == getattr(ds, name).tobytes()
 
     def test_writes_exactly_the_given_path(self, tmp_path):
         path = tmp_path / "corpus-part"
