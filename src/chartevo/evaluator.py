@@ -139,19 +139,27 @@ class DatasetTensors:
 
     @classmethod
     def from_dataset(cls, dataset: Dataset, k: int) -> DatasetTensors:
-        n, steps, channels = dataset.values.shape
-        X = dataset.values.reshape(n, steps * channels)
-        if k in dataset.horizons:
-            returns = dataset.returns[:, dataset.horizons.index(k)]
-        else:
-            returns = np.full(n, np.nan)
-        keep = ~np.isnan(returns)
+        X, returns, keep = _horizon_view(dataset, k)
         limit = dataset.limit_hit
         if not keep.all():
             log.debug("%s: %d charts lack a %d-day return and are excluded",
-                      dataset.split, n - int(keep.sum()), k)
+                      dataset.split, len(keep) - int(keep.sum()), k)
             X, returns, limit = X[keep], returns[keep], limit[keep]
         return cls(dataset.split, k, X, returns, limit)
+
+
+def _horizon_view(dataset: Dataset, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, returns, keep)`` over every row of ``dataset``, without a copy of
+    the charts: ``X`` views them flattened time-major, ``returns`` holds the
+    returns at ``k`` (NaN where there is none) and ``keep`` marks the rows
+    that have one."""
+    n, steps, channels = dataset.values.shape
+    X = dataset.values.reshape(n, steps * channels)
+    if k in dataset.horizons:
+        returns = dataset.returns[:, dataset.horizons.index(k)]
+    else:
+        returns = np.full(n, np.nan)
+    return X, returns, ~np.isnan(returns)
 
 
 def live_units(
@@ -412,19 +420,26 @@ def fitness(
 
     Given :class:`DatasetTensors`, their cached float32 copy and row norms
     are used (and kept for the next network).  A :class:`Dataset` is read
-    once, so the float32 copy and the norms are built one ``ROW_BLOCK`` at
-    a time and never for the whole split; the flags are the same.
+    once, so it is scored in place: every row runs, the float32 copy and
+    the norms are built one ``ROW_BLOCK`` at a time and never for the
+    whole split, and the rows without a return at k are masked out of the
+    flags afterwards instead of copied out of the charts beforehand.  The
+    flags of the other rows, and so the report, are the same.
     """
-    tensors = _as_tensors(data, config.k)
-    cache = tensors if isinstance(data, DatasetTensors) else None
-    flags = positive_outputs(net, tensors.X, masks, cache) & ~tensors.limit_hit
-    return _report(flags, tensors, config)
+    if isinstance(data, DatasetTensors):
+        tensors = _as_tensors(data, config.k)
+        flags = positive_outputs(net, tensors.X, masks, tensors) & ~tensors.limit_hit
+        return _report(flags, tensors.returns, config)
+    X, returns, keep = _horizon_view(data, config.k)
+    flags = positive_outputs(net, X, masks) & ~data.limit_hit
+    flags &= keep
+    return _report(flags, returns, config)
 
 
-def _report(flags: np.ndarray, tensors: DatasetTensors, config: EvalConfig) -> FitnessReport:
-    """Fitness of one network from its match flags, summed in row order."""
+def _report(flags: np.ndarray, returns: np.ndarray, config: EvalConfig) -> FitnessReport:
+    """Fitness of one network from its match flags, its returns summed in row order."""
     count = int(flags.sum())
-    mean_return = float(tensors.returns[flags].sum() / count) if count else 0.0
+    mean_return = float(returns[flags].sum() / count) if count else 0.0
     return FitnessReport.from_stats(config.k, count, mean_return, penalty(count, config.alpha))
 
 
@@ -466,7 +481,7 @@ def evaluate_population(
             flags = pre > 0.0
             flags &= tradeable
             for i, row in zip(block, flags):
-                reports[i] = _report(row, tensors, config)
+                reports[i] = _report(row, tensors.returns, config)
     for i, net in enumerate(nets):
         if net.n_hidden_layers:
             masks = None

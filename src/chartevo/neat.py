@@ -4,7 +4,11 @@ Each structural novelty (a new link, or a node spliced into a link) gets
 an innovation number from a registry shared across the whole run, so the
 same innovation arising independently in two genomes carries the same
 marker.  Markers line genes up during crossover and drive the genome
-compatibility distance used for speciation.
+compatibility distance used for speciation.  A genome (see
+:mod:`chartevo.cppn`) is a shared structure plus a tuple of weights in
+innovation order: markers align two genomes through their structures'
+innovation-to-position maps, and offspring share their parent's
+structure object unless a link, a node or an enable flag changes.
 
 Per generation: evaluate, speciate against representatives drawn from
 the previous generation, adjust the compatibility threshold, then
@@ -15,6 +19,7 @@ an extra bump whenever the species count overshoots its cap.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass, field
@@ -33,7 +38,6 @@ from .cppn import (
     OUTPUT_IDS,
     WEIGHT_LIMIT,
     adjacency,
-    clamp_weight,
     from_text,
     minimal_genome,
     to_text,
@@ -142,7 +146,11 @@ class InnovationRegistry:
 
     def split(self, conn: ConnectionGene, existing_node_ids) -> tuple[int, int, int]:
         """(node_id, incoming innovation, outgoing innovation) for splitting ``conn``."""
-        entries = self._splits.setdefault(conn.innovation, [])
+        return self.split_link(conn.innovation, conn.src, conn.dst, existing_node_ids)
+
+    def split_link(self, innovation: int, src: int, dst: int, existing_node_ids) -> tuple[int, int, int]:
+        """:meth:`split` for the link ``src -> dst`` numbered ``innovation``."""
+        entries = self._splits.setdefault(innovation, [])
         for entry in entries:
             if entry[0] not in existing_node_ids:
                 return entry
@@ -150,8 +158,8 @@ class InnovationRegistry:
         self.next_node_id += 1
         entry = (
             node_id,
-            self.connection_innovation(conn.src, node_id),
-            self.connection_innovation(node_id, conn.dst),
+            self.connection_innovation(src, node_id),
+            self.connection_innovation(node_id, dst),
         )
         entries.append(entry)
         return entry
@@ -191,33 +199,26 @@ def compatibility(a: CppnGenome, b: CppnGenome, c1: float = 1.0, c2: float = 1.0
 
     E counts excess genes (beyond the other genome's highest marker), D
     disjoint ones, N is the larger gene count (at least 1).  Matching
-    genes contribute only their mean absolute weight difference.
+    genes contribute only their mean absolute weight difference, summed
+    left to right in ``a``'s innovation order.
     """
-    conns_a, conns_b = a.connections, b.connections
-    max_a = conns_a[-1].innovation if conns_a else -1
-    max_b = conns_b[-1].innovation if conns_b else -1
-    weights_b = {c.innovation: c.weight for c in conns_b}
-    excess = 0
-    disjoint = 0
+    innovs_a, innovs_b = a.structure.innovations, b.structure.innovations
+    weights_a, weights_b = a.weights, b.weights
+    positions_b = b.structure.positions
     diff_sum = 0.0
     matches = 0
-    for c in conns_a:
-        if c.innovation in weights_b:
-            diff_sum += abs(c.weight - weights_b[c.innovation])
+    for innovation, weight in zip(innovs_a, weights_a):
+        j = positions_b.get(innovation)
+        if j is not None:
+            diff_sum += abs(weight - weights_b[j])
             matches += 1
-        elif c.innovation > max_b:
-            excess += 1
-        else:
-            disjoint += 1
-    innovs_a = {c.innovation for c in conns_a}
-    for c in conns_b:
-        if c.innovation in innovs_a:
-            continue
-        if c.innovation > max_a:
-            excess += 1
-        else:
-            disjoint += 1
-    n = max(1, len(conns_a), len(conns_b))
+    max_a = innovs_a[-1] if innovs_a else -1
+    max_b = innovs_b[-1] if innovs_b else -1
+    # every marker beyond the other genome's last is unmatched: the excess genes
+    excess = (len(innovs_a) - bisect.bisect_right(innovs_a, max_b)
+              + len(innovs_b) - bisect.bisect_right(innovs_b, max_a))
+    disjoint = len(innovs_a) + len(innovs_b) - 2 * matches - excess
+    n = max(1, len(innovs_a), len(innovs_b))
     mean_diff = diff_sum / matches if matches else 0.0
     return c1 * excess / n + c2 * disjoint / n + c3 * mean_diff
 
@@ -290,74 +291,92 @@ def mutate(
     ``lo + (hi - lo) * u``, numpy's own formula.  A block is never longer
     than the count of doubles certain to be drawn next, so the values and
     the generator's state after the call are those of the scalar calls.
+
+    The child's weights are a new tuple.  With weight events only, it
+    keeps the parent's structure object; a new link or node derives a
+    structure from the parent's (:meth:`Structure.with_link`,
+    :meth:`Structure.with_split`), so no gene object is built and nothing
+    already checked is checked again.
     """
-    rates = decayed_rates(config, generation)
-    rate = rates["weight_mutation_rate"]
+    decay = config.decay_factor ** generation  # decayed_rates' values are base * decay
+    rate = config.weight_mutation_rate * decay
     replace = config.weight_replace_fraction
-    half = config.perturb_half_range
-    changed = structural = False
-    conns = list(genome.connections)
-    n = len(conns)
+    # numpy's uniform(-half, half) is low + span * u; both terms are formed once
+    low, span = -config.perturb_half_range, config.perturb_half_range - -config.perturb_half_range
+    structure, weights = genome.structure, genome.weights
+    new = list(weights)
+    changed = False
+    n = len(weights)
     # certain from here: one check per gene, then the add-connection check
     block = rng.random(n + 1).tolist()
-    k = 0
-    for i, c in enumerate(conns):
-        if k == len(block):
-            block, k = rng.random(n - i + 1).tolist(), 0
-        mutates = block[k] < rate
-        k += 1
-        if not mutates:
+    end, k = n + 1, 0
+    for i in range(n):
+        if k == end:
+            block, k, end = rng.random(n - i + 1).tolist(), 0, n - i + 1
+        if block[k] >= rate:
+            k += 1
             continue
-        if k == len(block):  # certain: this gene's replace check and value
-            block, k = rng.random(n - i + 2).tolist(), 0
-        replaced = block[k] < replace
-        k += 1
-        if k == len(block):
-            block, k = rng.random(n - i + 1).tolist(), 0
-        if replaced:
-            weight = -1.0 + 2.0 * block[k]
+        if end - k < 3:  # the block ends inside this event: add every draw now certain
+            block = block[k:] + rng.random(n - i + 3 - (end - k)).tolist()
+            k, end = 0, n - i + 3
+        if block[k + 1] < replace:
+            weight = -1.0 + 2.0 * block[k + 2]
         else:
-            weight = clamp_weight(c.weight + (-half + (half - -half) * block[k]))
-        k += 1
-        conns[i] = ConnectionGene(c.innovation, c.src, c.dst, weight, c.enabled)
+            weight = weights[i] + (low + span * block[k + 2])
+            if not -WEIGHT_LIMIT <= weight <= WEIGHT_LIMIT:
+                weight = WEIGHT_LIMIT if weight > 0.0 else -WEIGHT_LIMIT
+        k += 3
+        new[i] = weight
         changed = True
     # every block ends at the add-connection check, so its value is left
-    add_connection = block[k] < rates["add_connection_rate"]
-    nodes = list(genome.nodes)
-    if add_connection:
-        present = {(c.src, c.dst) for c in conns}
-        sources = sorted(n.id for n in nodes if n.role != "output")
-        targets = sorted(n.id for n in nodes if n.role != "input")
-        # weight events leave the structure alone, so the parent's links serve
-        outgoing = adjacency(genome)
-        candidates = [
-            (src, dst)
-            for src in sources
-            for dst in targets
-            if (src, dst) not in present and not would_create_cycle(outgoing, src, dst)
-        ]
+    added = None  # the new link's position
+    if block[k] < config.add_connection_rate * decay:
+        # weight events leave the structure alone, so the parent's candidates serve
+        candidates = _link_candidates(genome)
         if candidates:
             src, dst = candidates[int(rng.integers(len(candidates)))]
             innovation = registry.connection_innovation(src, dst)
-            conns.append(ConnectionGene(innovation, src, dst, float(rng.uniform(-1.0, 1.0)), True))
-            changed = structural = True
-    if rng.random() < rates["add_node_rate"]:
-        enabled = [i for i, c in enumerate(conns) if c.enabled]
+            structure = structure.with_link(innovation, src, dst)
+            added = structure.positions[innovation]
+            new.insert(added, float(rng.uniform(-1.0, 1.0)))
+            changed = True
+    if rng.random() < config.add_node_rate * decay:
+        # candidates in the order the links were added: the parent's, then the new one
+        enabled = [i for i, on in enumerate(structure.enabled) if on and i != added]
+        if added is not None:
+            enabled.append(added)
         if enabled:
             pick = enabled[int(rng.integers(len(enabled)))]
-            old = conns[pick]
-            node_id, in_innov, out_innov = registry.split(old, {n.id for n in nodes})
+            node_id, in_innov, out_innov = registry.split_link(
+                structure.innovations[pick], structure.srcs[pick], structure.dsts[pick],
+                {node.id for node in structure.nodes})
             activation = HIDDEN_ACTIVATION_NAMES[int(rng.integers(len(HIDDEN_ACTIVATION_NAMES)))]
-            nodes.append(NodeGene(node_id, "hidden", activation))
-            conns[pick] = ConnectionGene(old.innovation, old.src, old.dst, old.weight, False)
-            conns.append(ConnectionGene(in_innov, old.src, node_id, 1.0, True))
-            conns.append(ConnectionGene(out_innov, node_id, old.dst, old.weight, True))
-            changed = structural = True
+            node = NodeGene(node_id, "hidden", activation)
+            structure, old_weight = structure.with_split(pick, node, in_innov, out_innov), new[pick]
+            # in ascending order, so each goes straight to its final position
+            for innovation, weight in sorted(((in_innov, 1.0), (out_innov, old_weight))):
+                new.insert(structure.positions[innovation], weight)
+            changed = True
     if not changed:
         return genome
-    if not structural:
-        return CppnGenome._reweighted(genome, tuple(conns))
-    return CppnGenome(tuple(nodes), tuple(conns))
+    return CppnGenome.of(structure, tuple(new))
+
+
+def _link_candidates(genome: CppnGenome) -> list[tuple[int, int]]:
+    """The links mutation may add: every absent (non-output, non-input) pair
+    that closes no cycle, source-major; worked out once per structure."""
+    structure = genome.structure
+    candidates = structure.memo.get("link candidates")
+    if candidates is None:
+        present = set(zip(structure.srcs, structure.dsts))
+        outgoing = adjacency(genome)
+        candidates = structure.memo["link candidates"] = [
+            (src.id, dst.id)
+            for src in structure.nodes if src.role != "output"
+            for dst in structure.nodes if dst.role != "input"
+            if (src.id, dst.id) not in present and not would_create_cycle(outgoing, src.id, dst.id)
+        ]
+    return candidates
 
 
 def crossover(
@@ -379,8 +398,8 @@ def crossover(
     parent in innovation order, one draw picking a matched gene's parent
     and one for the enable flag of a gene disabled in either parent.  The
     draws after the tie-break depend only on the two structures, so one
-    ``rng.random(count)`` call takes them all.  A child gene equal to the
-    gene it copies is that gene, not a new one.
+    ``rng.random(count)`` call takes them all.  The child keeps the fitter
+    parent's structure object unless an enable flag changes.
     """
     if fitness_a > fitness_b:
         fitter, other = parent_a, parent_b
@@ -390,21 +409,20 @@ def crossover(
         fitter, other = parent_a, parent_b
     else:
         fitter, other = parent_b, parent_a
-    other_genes = {c.innovation: c for c in other.connections}
-    partners = [other_genes.get(gene.innovation) for gene in fitter.connections]
-    disabled = [not (gene.enabled and (partner is None or partner.enabled))
-                for gene, partner in zip(fitter.connections, partners)]
-    count = len(partners) - partners.count(None) + sum(disabled)
-    draws = iter(rng.random(count).tolist())
-    child_conns = []
-    for gene, partner, disabled_somewhere in zip(fitter.connections, partners, disabled):
-        chosen = gene if partner is None or next(draws) < 0.5 else partner
-        enabled = not disabled_somewhere or next(draws) >= 0.75
-        if chosen.enabled == enabled and chosen.src == gene.src and chosen.dst == gene.dst:
-            child_conns.append(chosen)
-        else:
-            child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst, chosen.weight, enabled))
-    return CppnGenome._reweighted(fitter, tuple(child_conns))
+    structure, partner = fitter.structure, other.structure
+    own, theirs = fitter.weights, other.weights
+    partners = list(map(partner.positions.get, structure.innovations))
+    enabled, partner_enabled = structure.enabled, partner.enabled
+    disabled = [not (on and (j is None or partner_enabled[j])) for on, j in zip(enabled, partners)]
+    draws = iter(rng.random(len(partners) - partners.count(None) + sum(disabled)).tolist())
+    weights, flags = [], []
+    for w, j, disabled_somewhere in zip(own, partners, disabled):
+        weights.append(w if j is None or next(draws) < 0.5 else theirs[j])
+        flags.append(not disabled_somewhere or next(draws) >= 0.75)
+    flags = tuple(flags)
+    if flags != enabled:
+        structure = structure.with_enabled(flags)
+    return CppnGenome.of(structure, tuple(weights))
 
 
 def reproduce(

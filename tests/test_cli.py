@@ -23,7 +23,7 @@ from chartevo.cli import (
     main,
     stream_seed,
 )
-from chartevo import types
+from chartevo import cppn, types
 from chartevo.substrate import PhenotypeNetwork, phenotype_to_text
 from chartevo.types import CorpusFormatError, load_dataset, save_dataset
 
@@ -620,6 +620,16 @@ def _first_weight_row(value):
     return damage
 
 
+
+def _genome_enable_field(value):
+    """A genome pattern in place of the ``.net`` whose first link's enable field reads ``value``."""
+    def damage(prices, config):
+        lines = cppn.to_text(cppn.minimal_genome(np.random.default_rng(0))).splitlines()
+        first = next(i for i, line in enumerate(lines) if line.startswith("conn "))
+        lines[first] = " ".join(lines[first].split()[:5] + [value])
+        (prices.parent / "pattern.net").write_text("\n".join(lines) + "\n")
+    return damage
+
 # a valid pattern for the pipeline's 64-value charts, with one hidden layer
 PATTERN = PhenotypeNetwork((np.ones((64, 2)), np.ones((2, 1))), (np.zeros(2), np.zeros(1)))
 
@@ -657,6 +667,8 @@ MALFORMED_INPUTS = {
     "pattern weight inf, evaluate": ("evaluate", _first_weight_row("inf")),
     "pattern weight nan, export-overlay": ("export-overlay", _first_weight_row("nan")),
     "pattern weight inf, export-overlay": ("export-overlay", _first_weight_row("inf")),
+    "genome enable field 2": ("evaluate", _genome_enable_field("2")),
+    "genome enable field -1": ("evaluate", _genome_enable_field("-1")),
 }
 
 

@@ -488,6 +488,25 @@ class TestRowBlocks:
         # no float32 copy of the split: X32 and the row norms exist one block at a time
         assert peak < columns + 2 * workspace
 
+    def test_fitness_copies_no_charts_when_rows_lack_the_horizon(self):
+        # a tenth of the rows have no return at k: they are masked out of the flags,
+        # not copied out of the charts, so no copy near the split's size is made
+        n = 4 * ROW_BLOCK + 1
+        rng = np.random.default_rng(13)
+        values = rng.normal(scale=0.05, size=(n, 32, 2))
+        returns = rng.normal(scale=0.1, size=(n, 2))
+        returns[rng.random(n) < 0.1, 0] = np.nan
+        dataset = make_dataset(values, returns)
+        net = random_net(rng, sizes=(64, 16, 8, 1))
+        masks = dropout_masks(net, 0.8, rng)
+        out = forward_output(net, values.reshape(n, 64), masks)
+        net = PhenotypeNetwork(net.weights, net.biases[:-1] + (net.biases[-1] - np.median(out),))
+        config = EvalConfig(k=5, alpha=1e5)
+        report, peak = traced_peak(lambda: fitness(net, dataset, config, masks))
+        assert report == fitness(net, DatasetTensors.from_dataset(dataset, 5), config, masks)
+        assert report.match_count > 0
+        assert peak < dataset.values.nbytes / 2
+
     def test_dataset_and_tensors_give_equal_flags(self, monkeypatch):
         # grown genomes on the network substrate, each output bias set to the median
         # output so that half the charts match and many lie near the boundary

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chartevo import neat
+from chartevo import cppn, neat
 from chartevo.cppn import (
     HIDDEN_ACTIVATION_NAMES,
     ConnectionGene,
@@ -281,6 +281,59 @@ class TestOffspringStructure:
         assert child != g
         assert child.nodes is g.nodes
         assert child.topological_order() is g.topological_order()
+
+
+class TestSharedStructure:
+    """Variation builds no per-gene objects: a genome is a shared structure
+    plus a weight tuple, and offspring share their parent's structure
+    unless a link, a node or an enable flag changes."""
+
+    def test_advance_builds_no_genes_and_sorts_only_new_structures(self, monkeypatch):
+        cfg = quiet_config(population_size=200, generations=6, rng_seed=31,
+                           add_connection_rate=0.3, add_node_rate=0.1)
+        evo = Evolution.start(cfg)
+        genes, sorts, calls = [], [], []
+        real_init, real_sort = ConnectionGene.__init__, cppn._topological_order
+        real_mutate, real_crossover = neat.mutate, neat.crossover
+
+        def recorded(kind, operator):
+            def wrapper(*args):
+                before = len(sorts)
+                child = operator(*args)
+                calls.append((kind, args[:2], child, len(sorts) - before))
+                return child
+            return wrapper
+
+        monkeypatch.setattr(ConnectionGene, "__init__",
+                            lambda self, *args: genes.append(args) or real_init(self, *args))
+        monkeypatch.setattr(cppn, "_topological_order", lambda *args: sorts.append(args) or real_sort(*args))
+        monkeypatch.setattr(neat, "mutate", recorded("mutate", real_mutate))
+        monkeypatch.setattr(neat, "crossover", recorded("crossover", real_crossover))
+        for _ in range(cfg.generations - 1):
+            evo.advance([float(sum(g.weights)) for g in evo.population])
+        assert genes == []
+        seen = {"weight-only": 0, "structural": 0, "crossover": 0, "new flags": 0}
+        for kind, (first, second), child, child_sorts in calls:
+            if kind == "crossover":
+                assert child_sorts == 0
+                seen["crossover"] += 1
+                if all(child.structure is not p.structure for p in (first, second)):
+                    # only an enable flag changed
+                    assert any(child.structure.innovations == p.structure.innovations
+                               and child.structure.nodes == p.structure.nodes for p in (first, second))
+                    seen["new flags"] += 1
+            elif child is not first and child.structure.innovations == first.structure.innovations:
+                assert child_sorts == 0
+                assert child.structure is first.structure
+                outputs = cppn.OUTPUT_IDS
+                assert child.structure.program(outputs) is first.structure.program(outputs)
+                seen["weight-only"] += 1
+            elif child is not first:
+                assert child.structure.innovations != first.structure.innovations
+                seen["structural"] += 1
+        assert min(seen.values()) > 0, seen
+        # only structural offspring may sort, and not all of them need to
+        assert 0 < len(sorts) <= seen["structural"]
 
 
 class TestCrossover:

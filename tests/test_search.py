@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import hashlib
 import json
 import logging
 import math
@@ -296,6 +297,31 @@ class TestCheckpointResume:
         names = sorted(p.name for p in tmp_path.iterdir())
         # the final generation does not reproduce, so no checkpoint lands there
         assert names == ["checkpoint_g0002.json", "checkpoint_g0004.json"]
+
+
+class TestGoldenDigests:
+    """Pinned sha256 of ``history.csv`` + ``pattern.cppn`` for two small searches.
+
+    Both runs grow hidden nodes and links (add-connection and add-node at
+    0.3), and the network run scores with dropout, so any drift in the
+    variation draw stream, the CPPN arithmetic or the scoring moves a
+    digest, and with it the run files of a given seed.
+    """
+
+    @pytest.mark.parametrize("substrate, population, generations, seed, expected", [
+        ("template", 60, 6, 3, "e368c2025fa1f231c116a79240e1bcd60141ecd4789c3d818e29baba2f60ea15"),
+        ("network", 12, 5, 4, "695f66c2e9ed2ed6ff6fc3780ddc78869576c6135573ca8577c24c48ea0c6267"),
+    ])
+    def test_run_files_unchanged(self, substrate, population, generations, seed, expected):
+        evolution = EvolutionConfig(population_size=population, generations=generations,
+                                    rng_seed=seed, add_connection_rate=0.3, add_node_rate=0.3)
+        evaluation = EvalConfig(k=5, alpha=1000.0, rng_seed=seed + 1)
+        assert evaluation.dropout_enabled
+        run = run_search(make_corpus((120, 60, 60), seed=seed), evolution, evaluation,
+                         SearchOptions(substrate=substrate))
+        assert any(node.role == "hidden" for champ in run.champions for node in champ.genome.nodes)
+        text = history_table(run) + cppn.to_text(run.selected.genome)
+        assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def bias_only_net(bias):
