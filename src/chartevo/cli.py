@@ -50,6 +50,7 @@ from .types import (
     SPLIT_NAMES,
     atomic_open,
     load_dataset,
+    read_text,
     save_dataset,
 )
 from . import cppn
@@ -82,8 +83,7 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(read_text(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -323,8 +323,7 @@ def _load_pattern(args) -> tuple[Dataset, PhenotypeNetwork]:
     if args.split not in corpus:
         raise ConfigError(f"corpus has no {args.split!r} split")
     dataset = corpus[args.split]
-    with open(args.pattern, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(args.pattern)
     try:
         if text.startswith(cppn.GENOME_MAGIC):
             net = express(cppn.from_text(text), standard_substrates()[args.substrate])

@@ -12,10 +12,13 @@ The pipeline per instrument:
 5. flag charts whose entry day cannot be traded because the raw price
    jumped past the daily limit.
 
-Each step runs on all of an instrument's windows at once.  Windows are
-dropped when they lack a preceding smoothed value (the very first
-window) or when no entry day exists (the very last window).  A missing
-forward return at some horizon is NaN rather than dropping the chart.
+Each step runs on all of an instrument's windows at once.  Channel 0 is
+built once per instrument: its day-over-day logs and block means depend
+only on the day, so every window reads its steps from the one series.
+Windows are dropped when they lack a preceding smoothed value (the very
+first window) or when no entry day exists (the very last window).  A
+missing forward return at some horizon is NaN rather than dropping the
+chart.
 """
 from __future__ import annotations
 
@@ -118,46 +121,68 @@ def smooth(series: PriceSeries, window: int) -> PriceSeries:
         return PriceSeries(series.instrument_id, (), np.empty(0))
     if window == 1:
         return series
-    smoothed = sliding_window_view(series.closes, window).mean(axis=-1)
-    return PriceSeries(series.instrument_id, series.dates[window - 1:], smoothed)
+    return PriceSeries(series.instrument_id, series.dates[window - 1:],
+                       moving_average(series.closes, window))
 
 
-def slice_series(series: PriceSeries, window: int) -> np.ndarray:
-    """All stride-1 windows of length ``window``, shape (n_windows, window)."""
-    if window < 1:
-        raise ConfigError("slice window must be >= 1")
-    if len(series) < window:
-        return np.empty((0, window))
-    return sliding_window_view(series.closes, window)
+def moving_average(closes: np.ndarray, window: int) -> np.ndarray:
+    """The values of :func:`smooth` for ``closes``, at least ``window`` of them."""
+    return closes if window == 1 else sliding_window_view(closes, window).mean(axis=-1)
 
 
-def chart_values(windows: np.ndarray, preceding: np.ndarray, config: PreprocessConfig) -> np.ndarray:
-    """Build the (m, steps, 2) channel images for m smoothed windows.
+def chart_values(smoothed: np.ndarray, m: int, config: PreprocessConfig) -> np.ndarray:
+    """Build the (m, steps, 2) channel images of m windows of one smoothed series.
 
-    ``windows`` has shape (m, slice_window) and ``preceding`` holds each
-    window's previous smoothed value, shape (m,).  Channel 0 holds
-    day-over-day log changes (the day before the window supplies the
-    first delta); channel 1 holds log changes relative to the window's
-    final value.  Both are block-averaged by the downsample factor, then
-    channel 1 is rescaled.
+    Window j covers ``smoothed[j + 1 : j + 1 + slice_window]`` and its
+    preceding value is ``smoothed[j]``, so ``smoothed`` holds at least
+    m + slice_window values when m > 0.  Channel 0 holds day-over-day log changes
+    (the day before the window supplies the first delta); channel 1 holds
+    log changes relative to the window's final value.  Both are
+    block-averaged by the downsample factor, then channel 1 is rescaled.
+
+    Every window is a stride-1 slice of the one series, so channel 0's
+    logs and block means are computed once per day and each window reads
+    its steps as a strided view of them.  Channel 1 depends on the
+    window's last value and is computed per window.  Each block mean adds
+    in numpy's own order, so every value equals that of a per-window
+    ``reshape(...).mean()``.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    preceding = np.asarray(preceding, dtype=np.float64)
-    s = config.slice_window
-    if windows.ndim != 2 or windows.shape[1] != s or preceding.shape != windows.shape[:1]:
-        raise ValueError(f"windows must have shape (m, {s}) with m preceding values, "
-                         f"got {windows.shape} and {preceding.shape}")
-    if not (np.all(preceding > 0) and np.all(windows > 0)):
+    smoothed = np.asarray(smoothed, dtype=np.float64)
+    s, f, steps = config.slice_window, config.downsample_factor, config.chart_steps
+    if smoothed.ndim != 1 or m < 0 or (m and len(smoothed) < m + s):
+        raise ValueError(f"{m} windows of {s} days need a 1-d series of at least {m + s} "
+                         f"smoothed values, got shape {smoothed.shape}")
+    out = np.empty((m, steps, CHART_CHANNELS))
+    if m == 0:
+        return out
+    smoothed = smoothed[:m + s]
+    if not np.all(smoothed > 0):
         raise ValueError("smoothed prices must be strictly positive")
     # ratios first, logs second: rescaling the whole series then cancels
     # exactly in the division, so charts are invariant to price units
-    shifted = np.concatenate((preceding[:, None], windows[:, :-1]), axis=1)
-    daily = np.log(windows / shifted)
-    to_last = np.log(windows / windows[:, -1:])
-    blocks = (len(windows), config.chart_steps, config.downsample_factor)
-    daily = daily.reshape(blocks).mean(axis=2)
-    to_last = to_last.reshape(blocks).mean(axis=2) * config.channel2_scale
-    return np.stack([daily, to_last], axis=2)
+    daily = np.log(smoothed[1:] / smoothed[:-1])
+    # block means of daily[t : t + f] for every start day t, one phase of
+    # start days at a time so that each phase's blocks are contiguous rows
+    block_means = np.empty(m + s - f)
+    for phase in range(f):
+        rows = len(block_means[phase::f])
+        block_means[phase::f] = daily[phase:phase + rows * f].reshape(rows, f).mean(axis=1)
+    out[:, :, 0] = sliding_window_view(block_means, s - f + 1)[:, ::f]
+    windows = sliding_window_view(smoothed[1:], s)
+    to_last = windows / windows[:, -1:]
+    np.log(to_last, out=to_last)
+    channel1 = out[:, :, 1]
+    if f < 8:
+        # numpy reduces blocks this short by in-order adds; strided adds skip its per-row set-up
+        np.copyto(channel1, to_last[:, 0::f])
+        for i in range(1, f):
+            channel1 += to_last[:, i::f]
+        channel1 /= f
+    else:
+        # longer blocks are summed pairwise, in an order the adds above would not match
+        channel1[...] = to_last.reshape(m, steps, f).mean(axis=2)
+    channel1 *= config.channel2_scale
+    return out
 
 
 def forward_returns(series: PriceSeries, entry_indices: np.ndarray, horizons: Sequence[int]) -> np.ndarray:
@@ -183,44 +208,32 @@ def limit_hit(series: PriceSeries, entry_indices: np.ndarray, threshold: float) 
     return closes[entry] / closes[entry - 1] - 1.0 >= threshold
 
 
-def entry_ordinals(series: PriceSeries, config: PreprocessConfig) -> np.ndarray:
-    """Entry day of each of one instrument's charts, as ascending proleptic Gregorian ordinals.
-
-    Window start j in the smoothed series maps to raw entry index
-    e = j + s + w - 1; j = 0 lacks a preceding smoothed value and the last
-    start lacks an entry day, which leaves entries s + w .. len(series) - 1.
-    """
-    first = config.slice_window + config.smoothing_window
-    # numpy's datetime64 conversion of date objects is slower than one pass
-    return np.fromiter((day.toordinal() for day in series.dates[first:]), np.int64)
-
-
 def charts_from_series(series: PriceSeries, config: PreprocessConfig,
                        rows: slice | None = None) -> Dataset:
     """One instrument's tradeable charts, in entry-date order: those of the
     chart indices in ``rows`` (a step-1 slice), or all of them.
 
     Chart r enters on raw day r + s + w and is built from raw days
-    r .. r + s + w - 1, so only the closes of the requested charts are
-    smoothed and windowed; returns and limit flags read the raw closes
-    from each entry day on.  The result is an unsplit block (``split`` is
-    None).
+    r .. r + s + w - 1 (its window start in the smoothed series is r + 1;
+    start 0 lacks a preceding smoothed value and the last start lacks an
+    entry day).  So only the closes of the requested charts are smoothed
+    and charted, and returns and limit flags read the raw closes from each
+    entry day on.  The result is an unsplit block (``split`` is None).
     """
     w, s = config.smoothing_window, config.slice_window
     first = s + w
     lo, hi, _ = (slice(None) if rows is None else rows).indices(max(len(series) - first, 0))
-    hi = max(lo, hi)
-    part = PriceSeries(series.instrument_id, series.dates[lo:hi + first],
-                       series.closes[lo:hi + first])
-    smoothed = smooth(part, w)
-    ordinals = entry_ordinals(part, config)
-    m = len(ordinals)
-    entries = np.arange(lo + len(part) - m, lo + len(part))
+    m = max(hi - lo, 0)
+    smoothed = moving_average(series.closes[lo:lo + m + first], w) if m else np.empty(0)
+    entries = np.arange(lo + first, lo + first + m)
+    # numpy's datetime64 conversion of date objects is slower than one pass
+    ordinals = np.fromiter((day.toordinal() for day in series.dates[lo + first:lo + first + m]),
+                           np.int64, count=m)
     horizons = tuple(sorted(config.horizons))
     return Dataset(
         split=None,
         horizons=horizons,
-        values=chart_values(slice_series(smoothed, s)[1:m + 1], smoothed.closes[:m], config),
+        values=chart_values(smoothed, m, config),
         entry_ordinals=ordinals,
         returns=forward_returns(series, entries, horizons),
         limit_hit=limit_hit(series, entries, config.limit_threshold),
@@ -303,12 +316,11 @@ def write_price_directory(directory, series_set: Sequence[PriceSeries]) -> None:
 
 
 def load_price_directory(directory) -> list[PriceSeries]:
-    from .types import read_price_csv
+    from .types import read_price_csv, read_text
 
     index_path = os.path.join(directory, INSTRUMENT_INDEX)
     try:
-        with open(index_path, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
+        index = json.loads(read_text(index_path))
     except OSError as exc:
         raise ConfigError(f"{directory}: missing instrument index ({exc})") from exc
     except json.JSONDecodeError as exc:

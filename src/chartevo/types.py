@@ -127,7 +127,9 @@ class Dataset:
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} has shape {getattr(self, name).shape}, "
                                  f"expected {shape} for {n} charts")
-        if not np.isfinite(values).all():
+        # a NaN or an infinity leaves the minimum or the maximum non-finite,
+        # and the two reductions allocate no mask of the values
+        if n and not (math.isfinite(values.min()) and math.isfinite(values.max())):
             raise ValueError("chart values must be finite")
         if np.isinf(self.returns).any():
             raise ValueError("returns must be finite or NaN")
@@ -302,22 +304,45 @@ def write_price_csv(path, series: PriceSeries) -> None:
             fh.write(f"{day.isoformat()},{float(close)!r}\n")
 
 
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file, with newlines translated as text-mode iteration does.
+
+    A file that is not UTF-8 raises :class:`ConfigError` naming it; a file
+    that cannot be opened raises ``OSError`` as ``open`` does.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_price_csv(path, instrument_id: str) -> PriceSeries:
+    """One instrument's ``date,close`` rows; blank lines and a ``date`` header line are skipped.
+
+    The file is read whole and parsed in one loop.  A row that does not
+    parse raises :class:`ConfigError` naming ``path:lineno``, with lines
+    numbered as text-mode iteration numbers them (``split("\\n")`` after
+    newline translation, which ``splitlines`` would not match).
+    """
     dates: list[datetime.date] = []
     closes: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+    add_date, add_close = dates.append, closes.append
+    to_date, isfinite = datetime.date.fromisoformat, math.isfinite
+    text = read_text(path)
+    try:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            line = line.strip()
             if not line or (lineno == 1 and line.lower().startswith("date")):
                 continue
-            try:
-                date_part, close_part = line.split(",")
-                dates.append(datetime.date.fromisoformat(date_part.strip()))
-                closes.append(float(close_part))
-                if not math.isfinite(closes[-1]):
-                    raise ValueError("close is not finite")
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad price row {line!r}") from exc
+            date_part, close_part = line.split(",")
+            add_date(to_date(date_part.strip()))
+            close = float(close_part)
+            if not isfinite(close):
+                raise ValueError("close is not finite")
+            add_close(close)
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{lineno}: bad price row {line!r}") from exc
     try:
         return PriceSeries(instrument_id, tuple(dates), np.array(closes, dtype=np.float64))
     except ValueError as exc:

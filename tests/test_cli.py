@@ -701,6 +701,46 @@ def test_malformed_input_gives_one_error_line(pipeline, tmp_path, case):
     assert len(lines) == 1 and lines[0].startswith("chartevo: ")
 
 
+def _pattern_file(prices, kind):
+    """A valid ``.net`` or ``.cppn`` pattern beside a copy of the price directory."""
+    path = prices.parent / f"pattern.{kind}"
+    genome = cppn.minimal_genome(np.random.default_rng(0))
+    path.write_text(phenotype_to_text(PATTERN) if kind == "net" else cppn.to_text(genome))
+    return path
+
+
+# reader -> command, and the file it reads from a copy of the pipeline's inputs
+NON_UTF8_INPUTS = {
+    "price csv": ("preprocess", lambda prices, config: _first_price_csv(prices)),
+    "instrument index": ("preprocess", lambda prices, config: prices / "instruments.json"),
+    "config file": ("preprocess", lambda prices, config: config),
+    "net pattern": ("evaluate", lambda prices, config: _pattern_file(prices, "net")),
+    "cppn pattern": ("evaluate", lambda prices, config: _pattern_file(prices, "cppn")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_gives_one_error_line_naming_it(pipeline, tmp_path, reader):
+    command, target = NON_UTF8_INPUTS[reader]
+    prices = tmp_path / "prices"
+    shutil.copytree(pipeline["prices"], prices)
+    config = tmp_path / "config.json"
+    shutil.copy(pipeline["config"], config)
+    path = target(prices, config)
+    text = path.read_bytes()
+    path.write_bytes(text[:40] + b"\xe9" + text[40:])  # a Latin-1 byte in valid text
+    argv = {
+        "preprocess": ["--prices", str(prices), "--out", str(tmp_path / "corpus")],
+        "evaluate": ["--corpus", str(pipeline["corpus"]), "--pattern", str(path), "--k", "20"],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, *argv, "--config", str(config)])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"chartevo: {path}: not UTF-8 text")
+
+
 CHECKPOINT_ARGS = ["--seed", "5", "--population", "10", "--substrate", "template",
                    "--generations", "2"]
 

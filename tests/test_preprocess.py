@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import datetime
+import hashlib
+import json
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -20,7 +23,6 @@ from chartevo.preprocess import (
     forward_returns,
     limit_hit,
     load_price_directory,
-    slice_series,
     smooth,
     write_price_directory,
 )
@@ -104,26 +106,8 @@ class TestSmooth:
         assert any("shorter" in r.message for r in caplog.records)
 
 
-class TestSlice:
-    def test_exact_fit(self):
-        s = weekday_series([1.0] * 8)
-        assert slice_series(s, 8).shape == (1, 8)
-
-    def test_counts(self):
-        s = weekday_series(np.linspace(1, 2, 130))
-        assert slice_series(s, 128).shape == (3, 128)
-
-    def test_count_formula(self):
-        n = 200
-        s = random_series(n)
-        assert len(slice_series(s, 40)) == n - 40 + 1
-
-    def test_too_short_is_empty(self):
-        assert len(slice_series(weekday_series([1.0, 2.0]), 5)) == 0
-
-
 def one_chart_values(window, preceding, cfg):
-    return chart_values(np.asarray(window)[None], np.array([preceding]), cfg)[0]
+    return chart_values(np.concatenate(([preceding], window)), 1, cfg)[0]
 
 
 class TestChartValues:
@@ -148,13 +132,24 @@ class TestChartValues:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             one_chart_values(np.full(8, 1.0), 0.0, SMALL)
+        with pytest.raises(ValueError, match="positive"):
+            chart_values(np.r_[np.full(9, 1.0), -1.0], 2, SMALL)
+
+    def test_rejects_a_series_too_short_for_its_windows(self):
+        with pytest.raises(ValueError, match="at least 11"):
+            chart_values(np.full(10, 1.0), 3, SMALL)
+        with pytest.raises(ValueError):
+            chart_values(np.full((2, 9), 1.0), 1, SMALL)
+        assert chart_values(np.empty(0), 0, SMALL).shape == (0, 4, 2)
 
     def test_batch_rows_are_independent(self):
-        windows = 5.0 * 1.01 ** np.arange(24).reshape(3, 8)
-        batch = chart_values(windows, np.array([4.0, 4.5, 6.0]), SMALL)
-        assert batch.shape == (3, 4, 2)
-        for i, preceding in enumerate([4.0, 4.5, 6.0]):
-            assert np.array_equal(batch[i], one_chart_values(windows[i], preceding, SMALL))
+        # window j of the series is built from its own days alone
+        smoothed = 5.0 * 1.01 ** np.arange(12) * (1.0 + 0.1 * np.sin(np.arange(12)))
+        batch = chart_values(smoothed, 4, SMALL)
+        assert batch.shape == (4, 4, 2)
+        for j in range(4):
+            window = smoothed[j + 1:j + 9]
+            assert np.array_equal(batch[j], one_chart_values(window, smoothed[j], SMALL))
 
 
 def returns_dict(horizons, row):
@@ -206,7 +201,7 @@ def reference_charts(series, cfg):
     """
     w, s = cfg.smoothing_window, cfg.slice_window
     smoothed = smooth(series, w)
-    windows = slice_series(smoothed, s)
+    windows = [smoothed.closes[j:j + s] for j in range(len(smoothed) - s + 1)]
     closes = series.closes
     out = []
     for j in range(1, len(windows)):
@@ -228,6 +223,26 @@ def reference_charts(series, cfg):
         out.append((series.dates[entry_index], np.stack([daily, to_last], axis=1), returns,
                     bool(change >= cfg.limit_threshold)))
     return out
+
+
+def assert_equals_reference(charts, reference):
+    """``charts`` holds the rows of ``reference_charts``, bit for bit."""
+    assert len(charts) == len(reference)
+    for i, (entry, values, returns, limit) in enumerate(reference):
+        assert charts.chart_id(i) == f"S:{entry.isoformat()}"
+        assert np.array_equal(charts.values[i], values)
+        expected = [returns.get(k, np.nan) for k in charts.horizons]
+        assert np.array_equal(charts.returns[i], expected, equal_nan=True)
+        assert np.array_equal(np.isnan(charts.returns[i]), np.isnan(expected))
+        assert charts.limit_hit[i] == limit
+
+
+def volatile_series(n_days, seed):
+    """A random walk with one limit-hit jump, so charts, returns and flags all vary."""
+    rng = np.random.default_rng(seed)
+    closes = 50.0 * np.exp(np.cumsum(rng.normal(0, 0.02, n_days)))
+    closes[n_days // 2:] *= 1.4
+    return weekday_series(closes)
 
 
 class TestChartsFromSeries:
@@ -266,16 +281,8 @@ class TestChartsFromSeries:
                                downsample_factor=factor, channel2_scale=0.25,
                                horizons=tuple(horizons))
         charts = charts_from_series(series, cfg)
-        reference = reference_charts(series, cfg)
-        assert len(charts) == len(reference)
         assert charts.horizons == tuple(sorted(horizons))
-        for i, (entry, values, returns, limit) in enumerate(reference):
-            assert charts.chart_id(i) == f"S:{entry.isoformat()}"
-            assert np.array_equal(charts.values[i], values)
-            expected = [returns.get(k, np.nan) for k in charts.horizons]
-            assert np.array_equal(charts.returns[i], expected, equal_nan=True)
-            assert np.array_equal(np.isnan(charts.returns[i]), np.isnan(expected))
-            assert charts.limit_hit[i] == limit
+        assert_equals_reference(charts, reference_charts(series, cfg))
 
     def test_chart_count(self):
         # dropping the no-preceding-window start and the no-entry-day end
@@ -322,6 +329,42 @@ class TestChartsFromSeries:
         for column in COLUMNS:
             a, b = getattr(part, column), getattr(every, column)[rows]
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), column
+
+
+class TestSharedChannelExactness:
+    """The per-instrument channel builder equals the per-window reference exactly."""
+
+    CFG = PreprocessConfig(smoothing_window=5, slice_window=16, downsample_factor=4,
+                           channel2_scale=0.25, horizons=(1, 3))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_series_of_zero_one_and_two_charts(self, extra):
+        cfg = self.CFG
+        n = cfg.slice_window + cfg.smoothing_window + extra
+        series = volatile_series(n, seed=extra + 7)
+        charts = charts_from_series(series, cfg)
+        assert len(charts) == max(extra, 0)
+        assert_equals_reference(charts, reference_charts(series, cfg))
+
+    @pytest.mark.parametrize("cuts", [(0, 1, 2), (0, 9, 40), (0, 13, 14, 27, 40), (5, 6, 39)])
+    def test_rows_cut_a_series_into_parts(self, cuts):
+        cfg = self.CFG
+        series = volatile_series(cfg.slice_window + cfg.smoothing_window + 40, seed=3)
+        reference = reference_charts(series, cfg)
+        assert len(reference) == 40
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert_equals_reference(charts_from_series(series, cfg, slice(lo, hi)),
+                                    reference[lo:hi])
+
+    @pytest.mark.parametrize("factor", [1, 2, 4, 8, 16])
+    def test_every_downsample_factor_at_slice_128(self, factor):
+        # factors below 8 take the strided adds, 8 and 16 numpy's pairwise mean
+        cfg = PreprocessConfig(smoothing_window=24, slice_window=128, downsample_factor=factor,
+                               horizons=(20, 50))
+        series = volatile_series(400, seed=factor)
+        charts = charts_from_series(series, cfg)
+        assert charts.values.shape == (400 - 24 - 128, 128 // factor, 2)
+        assert_equals_reference(charts, reference_charts(series, cfg))
 
 
 class TestConfigValidation:
@@ -534,3 +577,65 @@ class TestPriceDirectory:
     def test_missing_index(self, tmp_path):
         with pytest.raises(ConfigError, match="instrument index"):
             load_price_directory(tmp_path)
+
+
+# the README's preprocess section
+README_PREPROCESS = {
+    "horizons": [20, 50],
+    "split_ranges": {"training": ["2012-01-01", "2014-12-31"],
+                     "validation": ["2015-01-01", "2015-12-31"],
+                     "test": ["2016-01-01", "2016-12-31"]},
+}
+
+
+class TestGoldenCorpus:
+    """Pinned sha256 of every ``.npz`` member ``chartevo preprocess`` writes.
+
+    Three synthetic instruments of the README's synth section (seed 2017),
+    preprocessed under its preprocess section: any drift in reading the
+    prices, the chart arithmetic, the labels, the split bucketing or the
+    archive layout moves a digest.
+    """
+
+    EXPECTED = {
+        "training": {
+            "header": "92e203603e53edb08a15677178ea7bce86e07521e722fa6e362c1203806388c2",
+            "values": "dbeafb411f21e3b482d9585926deac1d2408d239f571a93d16dd22800baf58bc",
+            "returns": "b644bddc928b71e1e8b568c84403e68ab83972d47a2a7a4b5de053d9237c3e9d",
+            "entry_ordinals": "3fb6dfebdb534fb9638d77588edf4ed8465edc5f4bdbe605c074ddfda794011c",
+            "limit_hit": "733e3a7ae9f991831973a261bb0831a449c8d36bd93c98d0ab1ab077d1ec3619",
+            "source_ids": "281c1fd9393000dc22cfe721aee4a725ed230e32339d7f4e9b95db207e5c771c",
+        },
+        "validation": {
+            "header": "ca057298e1a9b71fe9972d3eca61d58ef8c662c5d419d00b65c77ba13d68fb20",
+            "values": "f1ed62296c942682cec0d38325b3e8df00518b0ced703d2acb2d6b98d6324238",
+            "returns": "614bb72cfb4c322ea0e5f91644df699eccbcfc900cf9605b0117b8af951729ee",
+            "entry_ordinals": "33ce721a57732c7960de1229d69d6e8e3c1df14c4658dc94b45c6193cf5962d8",
+            "limit_hit": "ab89b3ec31e62da1c716a28c976d8367f4b112964576956fad7fa716701b2724",
+            "source_ids": "42366497267dad9080ffb3a433770b1112a77fb83148e6b150291d20c1d3e6d9",
+        },
+        "test": {
+            "header": "45a6a66ccb42bedab75797e9c212703c87a40f43c5c985a2be7cc07f16ea6a8a",
+            "values": "201cd46d8f9c415c4b3314bfacb329d0c0681f0b01734a37fefac54fc45490f6",
+            "returns": "d554fb3d993f4cfc6d9a6c177854fc501886a381498217cf63a80deaee36929e",
+            "entry_ordinals": "1f39073af129cda35b97b1bad6bef961bffd72a7a8ce398ec402833f7265c940",
+            "limit_hit": "ab89b3ec31e62da1c716a28c976d8367f4b112964576956fad7fa716701b2724",
+            "source_ids": "42366497267dad9080ffb3a433770b1112a77fb83148e6b150291d20c1d3e6d9",
+        },
+    }
+
+    def test_members_unchanged(self, tmp_path):
+        series_set, _ = generate(SynthConfig(
+            n_instruments=3, n_days=1330, base_volatility=0.015, injection_rate=0.02,
+            motif_amplitude=0.08, motif_shape="falling", motif_length=8, drift=0.08,
+            drift_horizon=20, seed=2017))
+        write_price_directory(tmp_path / "prices", series_set)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preprocess": README_PREPROCESS}))
+        assert main(["preprocess", "--config", str(config), "--prices", str(tmp_path / "prices"),
+                     "--out", str(tmp_path / "corpus")]) == 0
+        for split, expected in self.EXPECTED.items():
+            with zipfile.ZipFile(tmp_path / "corpus" / f"{split}.npz") as archive:
+                digests = {name.removesuffix(".npy"): hashlib.sha256(archive.read(name)).hexdigest()
+                           for name in archive.namelist()}
+            assert digests == expected, split

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime
+import re
 import zipfile
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, strategies as st
 from chartevo import types
 from chartevo.types import (
     COLUMNS,
+    ConfigError,
     CorpusFormatError,
     Dataset,
     FitnessReport,
@@ -278,3 +280,33 @@ class TestPriceCsv:
         again = read_price_csv(path, "RT")
         assert np.array_equal(again.closes, series.closes)
         assert again.dates == series.dates
+
+    @pytest.mark.parametrize("content, lineno", [
+        # blank and blank-looking lines still count
+        (b"date,close\n2012-01-02,1.5\n\n   \n2012-01-03,x\n", 5),
+        (b"date,close\r\n2012-01-02,1.5\r\n2012-01-03,1.6\r\n2012-01-04,x\r\n", 4),
+        # a bad last row with no final newline
+        (b"date,close\n2012-01-02,1.5\n2012-01-03,oops", 3),
+        # a lone carriage return ends a line, as in text-mode iteration
+        (b"date,close\r2012-01-02,1.5\r2012-01-03,x\r", 3),
+        # separators that str.splitlines would split on are whitespace inside a row
+        (b"date,close\n2012-01-02,1.5\x1c\n2012-01-03,1.6\x0b\n2012-01-04,x\n", 4),
+    ])
+    def test_bad_row_reports_its_line(self, tmp_path, content, lineno):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{lineno}: bad price row")):
+            read_price_csv(path, "P")
+
+    def test_rows_around_blank_lines_and_carriage_returns_load(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,close\r\n\r\n 2012-01-02 , 1.5 \r\n\n2012-01-03,1.75")
+        series = read_price_csv(path, "P")
+        assert series.dates == days(2)
+        assert series.closes.tolist() == [1.5, 1.75]
+
+    def test_non_utf8_file_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"date,close\n2012-01-02,1.5\n2012-01-03,1.\xe96\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8")):
+            read_price_csv(path, "P")
