@@ -14,11 +14,14 @@ are zeroed with probability 1 - retain and survivors rescaled by
 a stream keyed by (seed, generation, organism index) so results do not
 depend on evaluation order.
 
-A population is scored in two ways at once.  Networks without a hidden
-layer (nothing to mask) are stacked, ``STACK_BLOCK`` at a time, into one
-matrix product over all charts; the others run the pruned per-network
-forward pass with their dropout masks.  Either way each network's match
-count and mean return are reduced on their own, as :func:`fitness` does.
+A population is scored as it arrives, one network at a time, so a
+caller that expresses each genome lazily holds one phenotype at once.
+Networks without a hidden layer (nothing to mask) wait until
+``STACK_BLOCK`` of them are pending and are then stacked into one matrix
+product over all charts; the others run the pruned per-network forward
+pass with their dropout masks as soon as they arrive, and are dropped.
+Either way each network's match count and mean return are reduced on
+their own, as :func:`fitness` does.
 The stacked product may sum a network's terms in another order than
 :func:`fitness`'s ``X @ w``, so the two agree up to summation order: only
 an output within a few ulps of zero can fall on the other side.
@@ -37,15 +40,17 @@ has float64's sign; every other row (``|out32| <= bound``, or a
 non-finite value) is re-run in float64, and its flag equals the full
 float64 pass up to summation order, as above.  Nets with no live hidden
 unit, and nets whose values float32 cannot hold, run in float64 on every
-row.
+row.  Every float32 pass writes its hidden layers into one workspace per
+thread, grown to the largest size asked for and reused by every split.
 """
 from __future__ import annotations
 
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +67,9 @@ STACK_BLOCK = 32
 # written into one float32 workspace of ROW_BLOCK rows, reused block to block,
 # so the pass's memory does not grow with the split
 ROW_BLOCK = 8192
+
+# the holder of each thread's float32 workspace (see _workspace)
+_local = threading.local()
 
 # float32 unit roundoff, and the spacing of float32 subnormals: no float32
 # (or float64) product that underflows is off by more than ETA32
@@ -126,13 +134,6 @@ class DatasetTensors:
     def x_max(self) -> np.float32:
         """The largest magnitude in ``X32``, at least 1 (the ones column), found once."""
         return _max_magnitude(self.X32)
-
-    def workspace(self, size: int) -> np.ndarray:
-        """A flat float32 buffer of at least ``size`` values, kept for the next network."""
-        buf = self.__dict__.get("_workspace")
-        if buf is None or len(buf) < size:
-            buf = self.__dict__["_workspace"] = np.empty(size, np.float32)
-        return buf
 
     def __len__(self) -> int:
         return len(self.returns)
@@ -217,16 +218,27 @@ def _check_inputs(net: PhenotypeNetwork, X: np.ndarray, masks) -> None:
         raise ValueError("need exactly one dropout mask per hidden layer")
 
 
+def _workspace(size: int) -> np.ndarray:
+    """This thread's flat float32 buffer of at least ``size`` values, kept for the next network."""
+    buf = getattr(_local, "workspace", None)
+    if buf is None or len(buf) < size:
+        buf = _local.workspace = np.empty(size, np.float32)
+    return buf
+
+
 def _live_subnet(net: PhenotypeNetwork, masks: Sequence[np.ndarray] | None) -> tuple:
     """``(weights, biases)`` of the sub-network of :func:`live_units`, each dropout
     mask multiplied into the rows of the next layer's weights.
 
     ``(relu(z) * m) @ w == relu(z) @ (m[:, None] * w)`` for any sign of ``m``,
     so the masked net is this plain one; the slices are fresh copies, so the
-    masks fold in place.
+    masks fold in place.  Rows are taken first, then the columns of that
+    copy by ``compress``: the C-ordered array of ``w[np.ix_(a, b)]`` at
+    under half its cost (``w[a][:, b]`` is as cheap but Fortran-ordered, and
+    BLAS may then sum a product's terms in another order).
     """
     live = live_units(net, masks)
-    weights = [w[np.ix_(a, b)] for w, a, b in zip(net.weights, live, live[1:])]
+    weights = [w[a].compress(b, axis=1) for w, a, b in zip(net.weights, live, live[1:])]
     biases = [b[keep] for b, keep in zip(net.biases, live[1:])]
     for w, m, keep in zip(weights[1:], masks or (), live[1:]):
         w *= m[keep][:, None]
@@ -322,11 +334,12 @@ def positive_outputs(
     """Per row, whether ``forward_output(net, X, masks)`` is strictly positive.
 
     ``tensors``, if given, is the :class:`DatasetTensors` whose ``X`` this
-    is: its cached ``X32``, ``x_max``, ``x_norms`` and workspace are used,
-    else they are built here, ``X32`` and ``x_norms`` one block at a time.
-    The live sub-network of :func:`_live_subnet`, sliced once with its
-    masks folded in, runs in float32 with the first bias in the ones column,
-    ``ROW_BLOCK`` rows at a time through one float32 workspace.  A row whose
+    is: its cached ``X32``, ``x_max`` and ``x_norms`` are used, else they
+    are built here, ``X32`` and ``x_norms`` one block at a time.  The live
+    sub-network of :func:`_live_subnet`, sliced once with its masks folded
+    in, runs in float32 with the first bias in the ones column,
+    ``ROW_BLOCK`` rows at a time through this thread's one float32
+    workspace (:func:`_workspace`), shared by every split.  A row whose
     float32 output lies outside the error bound of :func:`_error_bound` keeps
     its float32 sign, which is the float64 sign; the bound is per row and holds
     for any summation order, so blocking moves no flag.  Every other row
@@ -349,8 +362,7 @@ def positive_outputs(
             slope, offset = bound
             w32 = [w.astype(np.float32) for w in [np.vstack([weights[0], biases[0]])] + weights[1:]]
             b32 = [None] + [b.astype(np.float32) for b in biases[1:]]
-            size = min(len(X), ROW_BLOCK) * sum(net.layer_sizes[1:-1])
-            workspace = np.empty(size, np.float32) if tensors is None else tensors.workspace(size)
+            workspace = _workspace(min(len(X), ROW_BLOCK) * sum(net.layer_sizes[1:-1]))
             certain = np.empty(len(X), dtype=bool)
             with np.errstate(all="ignore"):  # signs rest on the bound test, not on FP flags
                 for start in range(0, len(X), ROW_BLOCK):
@@ -444,20 +456,23 @@ def _report(flags: np.ndarray, returns: np.ndarray, config: EvalConfig) -> Fitne
 
 
 def evaluate_population(
-    nets: Sequence[PhenotypeNetwork],
+    nets: Iterable[PhenotypeNetwork],
     data: Dataset | DatasetTensors,
     config: EvalConfig,
     generation: int = 0,
 ) -> list[FitnessReport]:
     """Score a whole generation; results line up with ``nets`` by index.
 
-    Networks with no hidden layer are scored ``STACK_BLOCK`` at a time:
-    one matrix product of their stacked weights with all charts, plus
-    biases, then the sign test and the limit-hit veto.  No dropout stream
-    is drawn for them, since there is nothing to mask.  Every other
-    network runs :func:`fitness` with, when dropout is enabled, its own
-    mask stream keyed by (generation, index), so no report depends on
-    which others are scored.
+    ``nets`` is consumed lazily and no network is kept once it is scored,
+    so a generator that expresses each genome on demand holds one
+    phenotype at a time.  A network with a hidden layer runs
+    :func:`fitness` as soon as it arrives with, when dropout is enabled,
+    its own mask stream keyed by (generation, index), so no report
+    depends on which others are scored.  Networks with no hidden layer
+    wait until ``STACK_BLOCK`` are pending (the rest until the end) and
+    are scored together by :func:`_score_stacked`, in the same blocks of
+    consecutive ones, in index order, however the two kinds interleave.
+    No dropout stream is drawn for them, since there is nothing to mask.
 
     Flags, and so reports, equal per-network :func:`fitness` up to
     summation order: the stacked product adds each network's terms in
@@ -465,28 +480,44 @@ def evaluate_population(
     other sign.  The reduction from flags to a report is the same.
     """
     tensors = _as_tensors(data, config.k)
-    reports: list[FitnessReport | None] = [None] * len(nets)
-    flat = [i for i, net in enumerate(nets) if net.n_hidden_layers == 0]
-    if flat:
-        XT = tensors.X.T
-        tradeable = ~tensors.limit_hit
-        out = np.empty((min(STACK_BLOCK, len(flat)), len(tensors)))
-        for start in range(0, len(flat), STACK_BLOCK):
-            block = flat[start:start + STACK_BLOCK]
-            W = np.concatenate([nets[i].weights[0] for i in block], axis=1)
-            b = np.concatenate([nets[i].biases[0] for i in block])
-            pre = out[:len(block)]
-            np.matmul(W.T, XT, out=pre)
-            pre += b[:, None]
-            flags = pre > 0.0
-            flags &= tradeable
-            for i, row in zip(block, flags):
-                reports[i] = _report(row, tensors.returns, config)
-    for i, net in enumerate(nets):
+    reports: list[FitnessReport | None] = []
+    pending: list[tuple[int, PhenotypeNetwork]] = []  # flat nets, in index order
+    out = None  # the stacked products' float64 buffer, reused block to block
+    for net in nets:  # not enumerate: its reused result tuple would keep the last net alive
+        i = len(reports)
+        reports.append(None)
         if net.n_hidden_layers:
             masks = None
             if config.dropout_enabled:
                 rng = dropout_rng(config.rng_seed, generation, i)
                 masks = dropout_masks(net, config.dropout_retain, rng)
             reports[i] = fitness(net, tensors, config, masks)
+        else:
+            pending.append((i, net))
+            if len(pending) == STACK_BLOCK:
+                out = _score_stacked(pending, tensors, config, reports, out)
+                pending = []
+        del net  # scored or pending: dropped before the next one is expressed
+    if pending:
+        _score_stacked(pending, tensors, config, reports, out)
     return reports
+
+
+def _score_stacked(block: list, tensors: DatasetTensors, config: EvalConfig,
+                   reports: list, out: np.ndarray | None) -> np.ndarray:
+    """Fill ``reports[i]`` for each ``(i, net)`` of ``block``, nets with no
+    hidden layer: one matrix product of their stacked weights with all
+    charts into ``out`` (made here if None, and returned for the next,
+    no larger block), plus biases, then the sign test and the limit-hit veto."""
+    if out is None:
+        out = np.empty((len(block), len(tensors)))
+    W = np.concatenate([net.weights[0] for _, net in block], axis=1)
+    b = np.concatenate([net.biases[0] for _, net in block])
+    pre = out[:len(block)]
+    np.matmul(W.T, tensors.X.T, out=pre)
+    pre += b[:, None]
+    flags = pre > 0.0
+    flags &= ~tensors.limit_hit
+    for (i, _), row in zip(block, flags):
+        reports[i] = _report(row, tensors.returns, config)
+    return out

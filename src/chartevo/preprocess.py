@@ -226,15 +226,12 @@ def charts_from_series(series: PriceSeries, config: PreprocessConfig,
     m = max(hi - lo, 0)
     smoothed = moving_average(series.closes[lo:lo + m + first], w) if m else np.empty(0)
     entries = np.arange(lo + first, lo + first + m)
-    # numpy's datetime64 conversion of date objects is slower than one pass
-    ordinals = np.fromiter((day.toordinal() for day in series.dates[lo + first:lo + first + m]),
-                           np.int64, count=m)
     horizons = tuple(sorted(config.horizons))
     return Dataset(
         split=None,
         horizons=horizons,
         values=chart_values(smoothed, m, config),
-        entry_ordinals=ordinals,
+        entry_ordinals=series.ordinals[lo + first:lo + first + m],
         returns=forward_returns(series, entries, horizons),
         limit_hit=limit_hit(series, entries, config.limit_threshold),
         source_ids=np.full(m, series.instrument_id),
@@ -250,7 +247,8 @@ def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) ->
     once, sized from the entry dates alone, and filled with one
     instrument's charts of that split at a time, so only those exist
     beside the splits; a caller that holds one split at a time passes a
-    config with that one split range.
+    config with that one split range.  Every block is a checked
+    :class:`Dataset`, so a split's rows are not checked a second time.
     """
     ids = [s.instrument_id for s in series_set]
     if len(set(ids)) != len(ids):
@@ -287,7 +285,7 @@ def build_corpus(series_set: Sequence[PriceSeries], config: PreprocessConfig) ->
                 out[start:start + len(block)] = getattr(block, column)
             filled[name] = start + len(block)
             del block  # freed before the next block is built
-    corpus = {name: Dataset(name, horizons, **columns) if filled[name]
+    corpus = {name: Dataset.of_checked_rows(name, horizons, **columns) if filled[name]
               else Dataset.empty(name, horizons, config.chart_steps)
               for name, columns in splits.items()}
     log.info("corpus: %d charts from %d instruments", sum(filled.values()), len(series_set))

@@ -1,11 +1,13 @@
 """End-to-end pattern search: evolve genomes, track champions, pick one.
 
 Per generation every genome is expressed onto the substrate and scored
-on the training split (with dropout, if enabled).  The best organism of
-each generation is recorded as a champion.  After the last generation
-the distinct champions are re-scored without dropout on the validation
-split and the best one becomes the selected pattern; only that single
-network is ever evaluated on the test split.
+on the training split (with dropout, if enabled), one genome at a time:
+each phenotype is expressed just before it is scored and dropped after,
+so a generation never holds all of its networks at once.  The best
+organism of each generation is recorded as a champion.  After the last
+generation the distinct champions are re-scored without dropout on the
+validation split and the best one becomes the selected pattern; only
+that single network is ever evaluated on the test split.
 
 All randomness flows from the evolution config's seed plus the eval
 config's dropout seed, so a run is reproducible byte-for-byte: history
@@ -151,7 +153,7 @@ def run_search(
     total_generations = max(1, evolution_config.generations)
     zero_streak = sum(1 for _ in itertools.takewhile(_matched_nothing, reversed(run.history)))
     for g in range(evo.generation, total_generations):
-        nets = [express(genome, spec) for genome in evo.population]
+        nets = (express(genome, spec) for genome in evo.population)
         reports = evaluate_population(nets, tensors["training"], train_config, generation=g)
         fits = [r.fitness for r in reports]
         best = max(range(len(fits)), key=lambda i: (fits[i], -i))
@@ -159,9 +161,9 @@ def run_search(
 
         validation_fitness = None
         if options.validate_every_generation and "validation" in tensors:
-            validation_fitness = fitness(nets[best], tensors["validation"], clean_config).fitness
-        # free this generation's phenotypes before the next one is expressed
-        del nets
+            # expression is deterministic, so this is the network that was scored
+            validation_fitness = fitness(express(evo.population[best], spec),
+                                         tensors["validation"], clean_config).fitness
 
         stats = evo.advance(fits, reproduce_population=g < total_generations - 1)
         run.history.append(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime
+import functools
 import json
 import math
 import os
@@ -64,6 +65,13 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.dates)
+
+    @functools.cached_property
+    def ordinals(self) -> np.ndarray:
+        """The proleptic Gregorian ordinal of each date, as int64, computed once."""
+        ordinals = np.fromiter(map(datetime.date.toordinal, self.dates), np.int64, len(self.dates))
+        ordinals.setflags(write=False)
+        return ordinals
 
 
 # the per-chart columns of a Dataset, in field order, with their dtypes;
@@ -136,6 +144,20 @@ class Dataset:
         ordinals = self.entry_ordinals
         if n and (ordinals.min() < 1 or ordinals.max() > datetime.date.max.toordinal()):
             raise ValueError("entry ordinals must be valid dates")
+
+    @classmethod
+    def of_checked_rows(cls, split: str, horizons: tuple[int, ...], **columns) -> Dataset:
+        """A dataset of rows each already checked in another :class:`Dataset`
+        (a split filled from instrument blocks), so they are not checked
+        again: the columns, of the right dtypes and shapes, are only marked
+        read-only."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "split", split)
+        object.__setattr__(dataset, "horizons", horizons)
+        for name in COLUMNS:
+            columns[name].setflags(write=False)
+            object.__setattr__(dataset, name, columns[name])
+        return dataset
 
     @classmethod
     def empty(cls, split: str | None, horizons, steps: int = CHART_STEPS) -> Dataset:

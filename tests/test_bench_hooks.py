@@ -83,4 +83,6 @@ def test_pipeline_runs_under_every_hook(tmp_path):
                   "evaluator.forward_calls", "neat.advance_calls", "types.charts_scored",
                   "neat.compatibility_calls", "neat.cycle_checks"):
         assert tracer.counts[count] > 0, count
+    # every genome of every generation is expressed through the hooked search.express
+    assert tracer.counts["substrate.express_calls"] >= 10 * 3
     assert _left_patched(patched) == []

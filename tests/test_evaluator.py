@@ -680,6 +680,47 @@ class TestEvaluatePopulation:
             assert fitness(net, data, config, masks) == all_reports[i]
 
 
+class TestStreaming:
+    """``evaluate_population`` consumes its networks lazily and keeps none it has scored."""
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 100])
+    @pytest.mark.parametrize("hidden_share", [0.0, 0.3, 1.0])
+    def test_generator_equals_list(self, size, hidden_share):
+        rng = np.random.default_rng([size, int(10 * hidden_share)])
+        tensors = DatasetTensors("training", 5, rng.normal(size=(120, 4)),
+                                 rng.normal(scale=0.1, size=120), rng.random(120) < 0.1)
+        sizes = [(4, 5, 1) if rng.random() < hidden_share else (4, 1) for _ in range(size)]
+        nets = [random_net(rng, s) for s in sizes]
+        config = EvalConfig(k=5, alpha=50.0, rng_seed=6)
+        streamed = evaluate_population((net for net in nets), tensors, config, generation=3)
+        assert streamed == evaluate_population(nets, tensors, config, generation=3)
+        # nets without a hidden layer are stacked in the blocks they form on their
+        # own, whatever hidden-layer nets arrive between them
+        flat = [i for i, net in enumerate(nets) if not net.n_hidden_layers]
+        assert [streamed[i] for i in flat] == evaluate_population([nets[i] for i in flat],
+                                                                  tensors, config)
+
+    def test_one_network_alive_at_a_time(self):
+        spec = standard_substrates()["network"]
+        rng = np.random.default_rng(5)
+        n = 512
+        tensors = DatasetTensors("training", 5, rng.normal(scale=0.05, size=(n, 64)),
+                                 rng.normal(scale=0.1, size=n), rng.random(n) < 0.1)
+        config = EvalConfig(k=5, alpha=1000.0)
+        genomes = [minimal_genome(rng) for _ in range(32)]
+        net = express(genomes[0], spec)
+        net_bytes = sum(a.nbytes for a in net.weights + net.biases)
+        # warm up: compiled CPPN programs, the float32 charts and the workspace
+        evaluate_population([express(g, spec) for g in genomes], tensors, config)
+
+        def peak(count):
+            lazy = (express(g, spec) for g in genomes[:count])
+            return traced_peak(lambda: evaluate_population(lazy, tensors, config))[1]
+
+        # a list of the expressed nets would hold 24 more of them at once
+        assert peak(32) < peak(8) + net_bytes
+
+
 def dyadic(rng, size, scale):
     """Multiples of 1/8 in [-scale, scale]: sums of a few of their products are exact."""
     return rng.integers(-8 * scale, 8 * scale + 1, size=size) / 8.0

@@ -137,6 +137,17 @@ class TestRunSearchBehavior:
         )
         assert all(r.validation_fitness is not None for r in run.history)
 
+    def test_per_generation_validation_values_pinned(self):
+        # each generation's champion is expressed again for validation; expression
+        # is deterministic, so these are the values of the network that was scored
+        evc, evalc = small_configs(generations=5, population=12, seed=4)
+        run = run_search(make_corpus(seed=4), evc, evalc,
+                         SearchOptions(substrate="network", validate_every_generation=True))
+        assert [r.validation_fitness for r in run.history] == [
+            0.014270113135627802, 0.03732483284350698, 0.013507039115368016,
+            0.014270113135627802, 0.014270113135627802]
+        assert [r.best_match_count for r in run.history] == [60, 2, 33, 60, 60]
+
     def test_no_validation_split_falls_back_to_training(self, caplog):
         corpus = make_corpus()
         del corpus["validation"]

@@ -75,6 +75,14 @@ class TestPriceSeries:
         with pytest.raises(ValueError):
             s.closes[0] = 5.0
 
+    def test_ordinals_computed_once_and_read_only(self):
+        s = PriceSeries("A", days(40), np.linspace(1.0, 2.0, 40))
+        assert s.ordinals.dtype == np.int64
+        assert s.ordinals.tolist() == [day.toordinal() for day in s.dates]
+        assert s.ordinals is s.ordinals
+        with pytest.raises(ValueError):
+            s.ordinals[0] = 0
+
 
 class TestChart:
     def test_shape_enforced(self):
@@ -105,6 +113,16 @@ class TestDataset:
         assert ds.values is values
         with pytest.raises(ValueError):
             values[0, 0, 0] = 1.0
+
+    def test_of_checked_rows_takes_the_columns_as_they_are(self):
+        checked = make_dataset(seeds=(0, 1, 2))
+        columns = {name: getattr(checked, name).copy() for name in COLUMNS}
+        ds = Dataset.of_checked_rows("training", checked.horizons, **columns)
+        assert (ds.split, ds.horizons, len(ds)) == ("training", checked.horizons, 3)
+        for name in COLUMNS:
+            assert getattr(ds, name) is columns[name]
+            assert np.array_equal(getattr(ds, name), getattr(checked, name))
+            assert not columns[name].flags.writeable
 
     def test_rejects_infinite_return(self):
         with pytest.raises(ValueError, match="finite or NaN"):
