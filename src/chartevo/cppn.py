@@ -13,7 +13,7 @@ genomes: one that changes only weights keeps its parent's structure
 object, and with it the order and the programs; a new link, node or
 enable flag derives a new structure from the parent's without checking
 it again.  ``genome.connections`` gives the links as
-:class:`ConnectionGene` rows, built on first use.  Genomes are immutable
+:class:`ConnectionGene` rows, an unchecked view.  Genomes are immutable
 and compare by content.
 """
 from __future__ import annotations
@@ -22,7 +22,8 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,36 +70,15 @@ class NodeGene:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ConnectionGene:
-    """One link as a row: what the checked genome constructor reads, and what
-    ``CppnGenome.connections`` builds on first use.
-
-    The one chained comparison also refuses NaN; the fields are stored
-    through the slot descriptors, which a frozen class's ``__setattr__``
-    would refuse.
-    """
+class ConnectionGene(NamedTuple):
+    """One link as a read-only row of :attr:`CppnGenome.connections`; it
+    checks nothing, :class:`CppnGenome`'s constructor does."""
 
     innovation: int
     src: int
     dst: int
     weight: float
     enabled: bool
-
-    def __init__(self, innovation: int, src: int, dst: int, weight: float, enabled: bool) -> None:
-        if not -WEIGHT_LIMIT <= weight <= WEIGHT_LIMIT:
-            if not math.isfinite(weight):
-                raise ValueError("connection weight must be finite")
-            raise ValueError(f"connection weight {weight} outside [-{WEIGHT_LIMIT}, {WEIGHT_LIMIT}]")
-        _set_innovation(self, innovation)
-        _set_src(self, src)
-        _set_dst(self, dst)
-        _set_weight(self, weight)
-        _set_enabled(self, enabled)
-
-
-_set_innovation, _set_src, _set_dst, _set_weight, _set_enabled = (
-    ConnectionGene.__dict__[name].__set__ for name in ("innovation", "src", "dst", "weight", "enabled"))
 
 
 class Structure:
@@ -221,17 +201,19 @@ def _inserted(values: tuple, at: int, value) -> tuple:
 class CppnGenome:
     """Immutable CPPN genome: a shared :class:`Structure` and its own weights.
 
-    ``CppnGenome(nodes, connections)`` checks node and connection genes
-    given in any order; :meth:`of` pairs a structure with a weight tuple
-    in its innovation order, unchecked.  Genomes compare and hash by
-    content, whether or not they share a structure object.
+    ``CppnGenome(nodes, links)`` is the one checked way to build a genome:
+    ``links`` are ``(innovation, src, dst, weight, enabled)`` tuples (or
+    :class:`ConnectionGene` rows) in any order.  :meth:`of` pairs a
+    structure with a weight tuple in its innovation order, unchecked.
+    Genomes compare and hash by content, whether or not they share a
+    structure object.
     """
 
-    __slots__ = ("structure", "weights", "_connections")
+    __slots__ = ("structure", "weights")
 
-    def __init__(self, nodes: tuple[NodeGene, ...], connections: tuple[ConnectionGene, ...]) -> None:
+    def __init__(self, nodes: Iterable[NodeGene], links: Iterable[tuple[int, int, int, float, bool]]) -> None:
         nodes = tuple(sorted(nodes, key=lambda n: n.id))
-        conns = tuple(sorted(connections, key=lambda c: c.innovation))
+        links = sorted(links, key=itemgetter(0))
         ids = [n.id for n in nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
@@ -241,31 +223,34 @@ class CppnGenome:
             raise ValueError(f"genome must have input nodes {INPUT_IDS}")
         if outputs != OUTPUT_IDS:
             raise ValueError(f"genome must have output nodes {OUTPUT_IDS}")
-        innovations = tuple(c.innovation for c in conns)
+        innovations, srcs, dsts, weights, enabled = zip(*links) if links else ((),) * 5
         if len(set(innovations)) != len(innovations):
             raise ValueError("duplicate innovation numbers")
         id_set = set(ids)
         pairs = set()
-        for c in conns:
-            if c.src not in id_set or c.dst not in id_set:
-                raise ValueError(f"connection {c.innovation} references missing node")
-            if c.dst in INPUT_IDS:
+        for innovation, src, dst, weight in zip(innovations, srcs, dsts, weights):
+            # the one chained comparison also refuses NaN
+            if not -WEIGHT_LIMIT <= weight <= WEIGHT_LIMIT:
+                if not math.isfinite(weight):
+                    raise ValueError("connection weight must be finite")
+                raise ValueError(f"connection weight {weight} outside [-{WEIGHT_LIMIT}, {WEIGHT_LIMIT}]")
+            if src not in id_set or dst not in id_set:
+                raise ValueError(f"connection {innovation} references missing node")
+            if dst in INPUT_IDS:
                 raise ValueError("connections may not target an input node")
-            if (c.src, c.dst) in pairs:
-                raise ValueError(f"duplicate connection {c.src}->{c.dst}")
-            pairs.add((c.src, c.dst))
-        srcs, dsts = tuple(c.src for c in conns), tuple(c.dst for c in conns)
-        self.structure = Structure(nodes, innovations, srcs, dsts, tuple(bool(c.enabled) for c in conns),
+            if (src, dst) in pairs:
+                raise ValueError(f"duplicate connection {src}->{dst}")
+            pairs.add((src, dst))
+        self.structure = Structure(nodes, innovations, srcs, dsts, tuple(map(bool, enabled)),
                                    _topological_order(nodes, srcs, dsts))
-        self.weights = tuple(c.weight for c in conns)
-        self._connections = conns
+        self.weights = weights
 
     @classmethod
     def of(cls, structure: Structure, weights: tuple[float, ...]) -> CppnGenome:
         """``structure`` with ``weights``, one float within the weight limit
         per link in innovation order; unchecked, for variation operators."""
         genome = object.__new__(cls)
-        genome.structure, genome.weights, genome._connections = structure, weights, None
+        genome.structure, genome.weights = structure, weights
         return genome
 
     @property
@@ -274,17 +259,9 @@ class CppnGenome:
 
     @property
     def connections(self) -> tuple[ConnectionGene, ...]:
-        """The links as :class:`ConnectionGene` rows in innovation order, built on first use."""
-        conns = self._connections
-        if conns is None:
-            s = self.structure
-            conns = self._connections = tuple(
-                map(ConnectionGene, s.innovations, s.srcs, s.dsts, self.weights, s.enabled))
-        return conns
-
-    def topological_order(self) -> tuple[int, ...]:
-        """Node ids in dependency order (inputs first), kept on the structure."""
-        return self.structure.order
+        """The links as :class:`ConnectionGene` rows in innovation order, built on each call."""
+        s = self.structure
+        return tuple(map(ConnectionGene, s.innovations, s.srcs, s.dsts, self.weights, s.enabled))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CppnGenome):
@@ -399,18 +376,14 @@ def _evaluate(genome: CppnGenome, columns: tuple, outputs: tuple[int, ...], zero
     return [values[node_id] for node_id in outputs]
 
 
-def clamp_weight(weight: float) -> float:
-    return min(WEIGHT_LIMIT, max(-WEIGHT_LIMIT, weight))
-
-
 N_INITIAL_CONNECTIONS = N_INPUTS * len(OUTPUT_IDS)
 
 # the structure every minimal genome shares: innovation numbers 0..20, input-major
 _MINIMAL_STRUCTURE = CppnGenome(
     tuple(NodeGene(i, "input", "linear") for i in INPUT_IDS)
     + tuple(NodeGene(i, "output", "linear") for i in OUTPUT_IDS),
-    tuple(ConnectionGene(innovation, src, dst, 0.0, True)
-          for innovation, (src, dst) in enumerate((src, dst) for src in INPUT_IDS for dst in OUTPUT_IDS)),
+    ((innovation, src, dst, 0.0, True)
+     for innovation, (src, dst) in enumerate((src, dst) for src in INPUT_IDS for dst in OUTPUT_IDS)),
 ).structure
 
 
@@ -450,15 +423,13 @@ def from_text(text: str) -> CppnGenome:
     if not lines or lines[0].split() != [GENOME_MAGIC, str(GENOME_VERSION)]:
         raise ValueError(f"not a {GENOME_MAGIC} version {GENOME_VERSION} document")
     nodes: list[NodeGene] = []
-    conns: list[ConnectionGene] = []
+    links: list[tuple[int, int, int, float, bool]] = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "node" and len(parts) == 4:
             nodes.append(NodeGene(int(parts[1]), parts[2], parts[3]))
         elif parts[0] == "conn" and len(parts) == 6 and parts[5] in ("0", "1"):
-            conns.append(
-                ConnectionGene(int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), parts[5] == "1")
-            )
+            links.append((int(parts[1]), int(parts[2]), int(parts[3]), float(parts[4]), parts[5] == "1"))
         else:
             raise ValueError(f"bad genome line: {line!r}")
-    return CppnGenome(tuple(nodes), tuple(conns))
+    return CppnGenome(nodes, links)

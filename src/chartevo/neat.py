@@ -28,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .cppn import (
-    ConnectionGene,
     CppnGenome,
     FIRST_HIDDEN_ID,
     HIDDEN_ACTIVATION_NAMES,
@@ -144,12 +143,9 @@ class InnovationRegistry:
             self.next_innovation += 1
         return self._pairs[key]
 
-    def split(self, conn: ConnectionGene, existing_node_ids) -> tuple[int, int, int]:
-        """(node_id, incoming innovation, outgoing innovation) for splitting ``conn``."""
-        return self.split_link(conn.innovation, conn.src, conn.dst, existing_node_ids)
-
     def split_link(self, innovation: int, src: int, dst: int, existing_node_ids) -> tuple[int, int, int]:
-        """:meth:`split` for the link ``src -> dst`` numbered ``innovation``."""
+        """(node_id, incoming innovation, outgoing innovation) for splitting the
+        link ``src -> dst`` numbered ``innovation``."""
         entries = self._splits.setdefault(innovation, [])
         for entry in entries:
             if entry[0] not in existing_node_ids:

@@ -79,7 +79,7 @@ def test_pipeline_runs_under_every_hook(tmp_path):
             # later generations are bred, so reproduction and both variation operators run
             "neat.reproduce", "neat.mutate", "neat.crossover"} <= names
     for count in ("types.charts_loaded", "types.corpus_bytes", "preprocess.charts",
-                  "cppn.activate_batch_calls", "substrate.express_calls",
+                  "cppn.activate_batch_calls", "substrate.express_calls", "cppn.genome_links",
                   "evaluator.forward_calls", "neat.advance_calls", "types.charts_scored",
                   "neat.compatibility_calls", "neat.cycle_checks"):
         assert tracer.counts[count] > 0, count

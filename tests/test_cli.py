@@ -621,12 +621,15 @@ def _first_weight_row(value):
 
 
 
-def _genome_enable_field(value):
-    """A genome pattern in place of the ``.net`` whose first link's enable field reads ``value``."""
+def _genome_first_link(field, value):
+    """A genome pattern in place of the ``.net`` whose first ``conn`` line reads
+    ``value`` in ``field`` (1 innovation, 3 target node, 4 weight, 5 enable flag)."""
     def damage(prices, config):
         lines = cppn.to_text(cppn.minimal_genome(np.random.default_rng(0))).splitlines()
         first = next(i for i, line in enumerate(lines) if line.startswith("conn "))
-        lines[first] = " ".join(lines[first].split()[:5] + [value])
+        parts = lines[first].split()
+        parts[field] = value
+        lines[first] = " ".join(parts)
         (prices.parent / "pattern.net").write_text("\n".join(lines) + "\n")
     return damage
 
@@ -667,8 +670,13 @@ MALFORMED_INPUTS = {
     "pattern weight inf, evaluate": ("evaluate", _first_weight_row("inf")),
     "pattern weight nan, export-overlay": ("export-overlay", _first_weight_row("nan")),
     "pattern weight inf, export-overlay": ("export-overlay", _first_weight_row("inf")),
-    "genome enable field 2": ("evaluate", _genome_enable_field("2")),
-    "genome enable field -1": ("evaluate", _genome_enable_field("-1")),
+    "genome enable field 2": ("evaluate", _genome_first_link(5, "2")),
+    "genome enable field -1": ("evaluate", _genome_first_link(5, "-1")),
+    "genome link weight nan": ("evaluate", _genome_first_link(4, "nan")),
+    "genome link weight inf": ("evaluate", _genome_first_link(4, "inf")),
+    "genome link weight 3.5": ("evaluate", _genome_first_link(4, "3.5")),
+    "genome link targets an input node": ("evaluate", _genome_first_link(3, "1")),
+    "genome duplicate innovation": ("evaluate", _genome_first_link(1, "1")),
 }
 
 
